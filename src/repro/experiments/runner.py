@@ -44,10 +44,9 @@ logger = logging.getLogger(__name__)
 #: Named systems accepted by :class:`ExperimentConfig`.
 SYSTEMS = ("press", "cc-basic", "cc-sched", "cc-kmc")
 
-#: Environment knob selecting the middleware's directory implementation
-#: (mirrors ``REPRO_SCHEDULER``): ``oracle``/``perfect`` keeps the
-#: paper's perfect directory, ``partitioned`` swaps in the
-#: consistent-hash :class:`~repro.cache.hashring.PartitionedDirectory`.
+#: Environment knob selecting the middleware's directory implementation:
+#: ``oracle``/``perfect`` keeps the paper's perfect directory,
+#: ``partitioned`` swaps in the consistent-hash :class:`~repro.cache.hashring.PartitionedDirectory`.
 #: It only applies to configs that left ``directory`` at the default —
 #: an explicit choice ("hints", or a pinned ablation) always wins.
 DIRECTORY_ENV = "REPRO_DIRECTORY"

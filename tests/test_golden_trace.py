@@ -98,19 +98,6 @@ def test_golden(system):
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_golden_under_calendar_scheduler(system, monkeypatch):
-    """Full-system scheduler equivalence: with the calendar queue behind
-    the kernel (``REPRO_SCHEDULER=calendar``), every golden fingerprint
-    — trace digest, span count, full metrics snapshot — is reproduced
-    byte-for-byte.  The unit-level half of this argument lives in
-    ``test_scheduler_differential.py``."""
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    path = GOLDEN_DIR / f"{system}.json"
-    assert path.exists(), "golden files must exist before this check"
-    assert _serialize(_fingerprint(_run(system))) == path.read_text()
-
-
-@pytest.mark.parametrize("system", SYSTEMS)
 def test_golden_under_oracle_env(system, monkeypatch):
     """Directory-knob neutrality: ``REPRO_DIRECTORY=oracle`` is the
     explicit spelling of the default and reproduces every golden

@@ -1,7 +1,7 @@
 """Tests for the append-only provenance run ledger.
 
 The determinism contract: with an injected clock and a pinned
-``REPRO_GIT_SHA``/scheduler/directory environment, appending the same
+``REPRO_GIT_SHA``/directory environment, appending the same
 records produces a byte-identical ledger file — ``run_id`` is a digest
 of the record itself, so identical provenance means identical identity.
 """
@@ -21,10 +21,11 @@ from repro.obs.ledger import (
     find_record,
     latest_sweep,
     load_ledger,
-    measure_observability_overhead,
     run_id,
 )
+from repro.obs.fleet import fleet_report
 from repro.obs.ledger import main as ledger_main
+from repro.obs.reports import render_fleet_report
 from repro.obs.schema import as_report
 
 
@@ -37,7 +38,6 @@ def fake_clock(start=1_700_000_000.0, step=1.0):
 def pinned_env(monkeypatch):
     """Pin every environment input a ledger record captures."""
     monkeypatch.setenv("REPRO_GIT_SHA", "cafebabe")
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
     monkeypatch.delenv("REPRO_DIRECTORY", raising=False)
 
 
@@ -66,7 +66,7 @@ class TestLedger:
         assert rec["status"] == "ok"
         assert rec["git_sha"] == "cafebabe"
         assert rec["recorded_at"] == 1_700_000_000.0
-        assert rec["env"] == {"scheduler": "heap", "directory": "oracle"}
+        assert rec["env"] == {"directory": "oracle"}
         assert rec["run_id"] == run_id(rec)
         assert len(rec["run_id"]) == 16
 
@@ -79,12 +79,26 @@ class TestLedger:
     def test_round_trip_append_order(self, tmp_path, pinned_env):
         path = tmp_path / "l.jsonl"
         _populate(path)
+        # A row in the older shape: its env stamp still names the
+        # scheduler, and the sweep carries an obs_overhead field.
+        old = {"ledger_version": 1, "kind": "sweep", "status": "ok",
+               "git_sha": "cafebabe", "recorded_at": 1.0,
+               "env": {"scheduler": "heap", "directory": "oracle"},
+               "figure": "fig2", "cells": 0, "workers": 1,
+               "obs_overhead": {"events": 5000.0, "overhead_frac": 0.5}}
+        old["run_id"] = run_id(old)
+        with open(path, "a", encoding="utf-8") as fp:
+            fp.write(json.dumps(old, sort_keys=True) + "\n")
         records = load_ledger(str(path))
         assert [r["kind"] for r in records] == ["run", "sweep", "cell",
-                                                "cell"]
+                                                "cell", "sweep"]
         for rec in records:
             assert rec["kind"] in RECORD_KINDS
             assert rec["run_id"] == run_id(rec)
+        assert records[-1]["env"]["scheduler"] == "heap"
+        report = fleet_report(records, base_dir=str(tmp_path))
+        assert report["sweep"]["env"] == old["env"]
+        assert old["run_id"] in render_fleet_report(report)
 
     def test_byte_determinism_under_injected_clock(self, tmp_path,
                                                    pinned_env):
@@ -110,14 +124,10 @@ class TestLedger:
         assert [r["seed"] for r in records] == [0, 1]
 
     def test_environment_stamp_tracks_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
         monkeypatch.delenv("REPRO_DIRECTORY", raising=False)
-        assert environment_stamp() == {"scheduler": "heap",
-                                       "directory": "oracle"}
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
+        assert environment_stamp() == {"directory": "oracle"}
         monkeypatch.setenv("REPRO_DIRECTORY", "partitioned")
-        assert environment_stamp() == {"scheduler": "calendar",
-                                       "directory": "partitioned"}
+        assert environment_stamp() == {"directory": "partitioned"}
 
 
 class TestQueries:
@@ -149,19 +159,6 @@ class TestQueries:
         assert find_record(records, "zzz") is None
         with pytest.raises(ValueError, match="ambiguous"):
             find_record(records, "aaa")
-
-
-class TestOverheadProbe:
-    def test_shape_and_sanity(self):
-        probe = measure_observability_overhead(num_events=300)
-        assert probe["events"] == 300.0
-        assert probe["events_per_s_tracer_on"] > 0
-        assert probe["events_per_s_tracer_off"] > 0
-        assert probe["overhead_frac"] >= 0.0
-
-    def test_rejects_degenerate_event_count(self):
-        with pytest.raises(ValueError):
-            measure_observability_overhead(num_events=0)
 
 
 class TestCli:

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event kernel (repro.sim.engine)."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
@@ -35,8 +39,11 @@ class TestSimulatorBasics:
 
     def test_negative_timeout_rejected(self):
         sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.timeout(-1.0)
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(SimulationError):
+                sim.timeout(delay)
+            with pytest.raises(SimulationError):
+                sim.call_after(delay, lambda: None)
 
     def test_events_fire_in_time_order(self):
         sim = Simulator()
@@ -92,8 +99,9 @@ class TestSimulatorBasics:
         sim = Simulator()
         sim.timeout(5.0)
         sim.run()
-        with pytest.raises(SimulationError):
-            sim.call_at(1.0, lambda: None)
+        for when in (1.0, float("nan")):
+            with pytest.raises(SimulationError):
+                sim.call_at(when, lambda: None)
 
     def test_event_count_increments(self):
         sim = Simulator()
@@ -107,6 +115,133 @@ class TestSimulatorBasics:
         assert sim.peek() == float("inf")
         sim.timeout(3.0)
         assert sim.peek() == 3.0
+
+
+class TestKernelOrder:
+    """The ``(time, seq)`` contract: equal timestamps fire in schedule
+    order, including events scheduled from inside handlers."""
+
+    def test_same_timestamp_from_handler_fires_fifo(self):
+        """Events scheduled *from within a handler* at the current
+        timestamp fire after the already-pending same-time events, in
+        schedule order.  This pins the seq tie-break that golden digests
+        rest on."""
+        sim = Simulator()
+        order = []
+
+        def late(tag: str) -> None:
+            order.append((sim.now, tag))
+
+        def handler() -> None:
+            order.append((sim.now, "handler"))
+            sim.call_after(0.0, late, "h1")
+            sim.call_at(sim.now, late, "h2")
+
+        sim.call_after(5.0, handler)
+        sim.call_after(5.0, late, "pre1")
+        sim.call_after(5.0, late, "pre2")
+        sim.run()
+        assert order == [
+            (5.0, "handler"), (5.0, "pre1"), (5.0, "pre2"),
+            (5.0, "h1"), (5.0, "h2"),
+        ]
+
+    def test_zero_delay_self_reschedule_chain(self):
+        """A handler rescheduling itself with delay 0 runs strictly after
+        each prior firing (seq keeps advancing), never starving or
+        looping within one timestamp pop."""
+        sim = Simulator()
+        fired = []
+
+        def tick(n: int) -> None:
+            fired.append((sim.now, n))
+            if n < 5:
+                sim.call_after(0.0, tick, n + 1)
+
+        sim.call_after(1.0, tick, 0)
+        sim.run()
+        assert fired == [(1.0, n) for n in range(6)]
+
+    def test_run_until_then_schedule_earlier(self):
+        """Scheduling after ``run(until=...)`` returns, earlier than the
+        still-pending event, fires in time order and never runs the
+        clock backwards."""
+        sim = Simulator()
+        order: list[tuple[float, str]] = []
+
+        def fire(tag: str) -> None:
+            order.append((sim.now, tag))
+
+        sim.call_after(100.0, fire, "late")
+        sim.run(until=5.0)
+        assert sim.now == 5.0
+        assert order == []
+        sim.call_after(1.0, fire, "early")
+        sim.run()
+        assert order == [(6.0, "early"), (100.0, "late")]
+        assert sim.now == 100.0
+
+    def test_peek_then_push_earlier_dequeues_in_order(self):
+        """``peek()`` is a pure observer: a later push of an *earlier*
+        time still dequeues first."""
+        sim = Simulator()
+        order: list[tuple[float, str]] = []
+
+        def fire(tag: str) -> None:
+            order.append((sim.now, tag))
+
+        sim.call_after(100.0, fire, "late")
+        assert sim.peek() == 100.0
+        assert sim.peek() == 100.0  # repeated peeks stay pure too
+        sim.call_after(2.0, fire, "early")
+        assert sim.peek() == 2.0
+        sim.run()
+        assert order == [(2.0, "early"), (100.0, "late")]
+
+
+#: Delay grid with deliberate mass on repeated values, so timestamp ties
+#: (the hard case for the tie-break) are the common case.
+DELAYS = st.sampled_from(
+    [0.0, 0.0, 0.0, 0.25, 0.25, 1.0, 1.0, 3.5, 17.0, 1000.0, 250_000.0]
+)
+
+
+def _run_script(script) -> tuple[list, list]:
+    """Fire a cascade: batch 0 is scheduled up front; the k-th event to
+    fire schedules batch k (if any).  Returns the ``(time, id)`` firing
+    log and the ``(time, id)`` of every scheduled entry, where ``id``
+    counts in schedule order."""
+    sim = Simulator()
+    order: list[tuple[float, int]] = []
+    scheduled: list[tuple[float, int]] = []
+    ids = itertools.count()
+
+    def schedule(delay: float) -> None:
+        idx = next(ids)
+        scheduled.append((sim.now + delay, idx))
+        sim.call_after(delay, fire, idx)
+
+    def fire(idx: int) -> None:
+        order.append((sim.now, idx))
+        k = len(order)
+        if k < len(script):
+            for delay in script[k]:
+                schedule(delay)
+
+    for delay in script[0]:
+        schedule(delay)
+    sim.run()
+    return order, scheduled
+
+
+@settings(deadline=None)
+@given(script=st.lists(st.lists(DELAYS, max_size=4), min_size=1, max_size=30))
+def test_cascade_fires_in_time_then_schedule_order(script):
+    """Random cascades — including zero-delay children scheduled from
+    inside handlers at tied timestamps — fire every scheduled entry
+    exactly once, sorted by ``(time, schedule order)``."""
+    order, scheduled = _run_script(script)
+    assert order == sorted(scheduled)
 
 
 class TestEvent:
