@@ -925,7 +925,7 @@ def analyze_command(argv) -> int:
         if opts.metrics:
             with open(opts.metrics, "r", encoding="utf-8") as fp:
                 metrics = json.load(fp)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"analyze: cannot read input: {exc}", file=sys.stderr)
         return 2
 
@@ -977,7 +977,7 @@ def analyze_command(argv) -> int:
             records, k=opts.top, measured_only=measured_only
         ))
     if opts.critical or opts.critical_out:
-        from ..obs.critical import critical_profile
+        from ..obs.analyze import critical_profile
 
         profile = critical_profile(records, measured_only=measured_only)
         if opts.critical_out:

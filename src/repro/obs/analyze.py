@@ -1,4 +1,4 @@
-"""Offline trace analysis: span trees and critical-path attribution.
+"""Offline trace analysis: span trees, critical paths and attribution.
 
 Input is the tracer's JSONL (or its in-memory record list) from a
 *profiled* run (``Observability(profile=True)``).  The decomposition
@@ -16,18 +16,30 @@ rests on two structural facts about the simulator:
   remainder is genuine waiting on another request's work (coalesce /
   peer / master wait).
 
-``attribute()`` turns a trace into per-request phase tables whose sums
-equal the span-tree root durations (and, over measured client roots,
-the run's measured mean response time) up to float tolerance.
+One walk turns a request root into bucket-labelled pieces
+(:class:`CriticalSegment`) that tile the root span.  Two reductions sit
+on top of it:
+
+* :func:`critical_path` keeps the non-empty pieces in time order —
+  "where latency was *created*"; :func:`critical_profile` aggregates
+  them cluster-wide, including the top-K critical phase→phase edges;
+* :func:`decompose_request` sums every piece per bucket — "where time
+  was *spent*"; :func:`attribute` does so per request over a trace.
+  Zero-length pieces keep their bucket keys (``bus.queue: 0.0``).
+
+By the tiling, each request's buckets sum to its root duration (and,
+over measured client roots, the run's measured mean response time) up
+to float tolerance.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from collections.abc import Iterable
 from typing import Any
 
 from .profile import PHASE_SPAN
@@ -39,6 +51,9 @@ __all__ = [
     "load_jsonl",
     "build_trees",
     "request_roots",
+    "CriticalSegment",
+    "critical_path",
+    "critical_profile",
     "decompose_request",
     "RequestProfile",
     "Attribution",
@@ -62,6 +77,17 @@ PHASE_ORDER: tuple[str, ...] = (
     "other",
 )
 
+#: Bucket of each single-interval phase (profiler ``p`` attr); names not
+#: listed here and not split by :func:`_walk` go to ``other``.
+_PHASE_BUCKET: dict[str, str] = {
+    "router": "router",
+    "wire": "wire",
+    "master_wait": "master.wait",
+    "coalesce_wait": "coalesce.wait",
+    "fault_detect": "fault.detect",
+    "retry_wait": "retry.backoff",
+}
+
 #: Span names treated as per-request roots (profiled runs produce
 #: ``client`` roots; plain traced runs produce ``request`` roots).
 REQUEST_ROOT_NAMES = ("client", "request")
@@ -75,10 +101,10 @@ class SpanNode:
 
     __slots__ = ("rec", "parent", "children")
 
-    def __init__(self, rec: dict[str, Any]):
+    def __init__(self, rec: dict[str, Any]) -> None:
         self.rec = rec
-        self.parent: "SpanNode" | None = None
-        self.children: list["SpanNode"] = []
+        self.parent: SpanNode | None = None
+        self.children: list[SpanNode] = []
 
     @property
     def span_id(self) -> int:
@@ -122,21 +148,49 @@ class SpanNode:
     def unfinished(self) -> bool:
         return bool(self.rec.get("unfinished")) or self.end is None
 
-    def walk(self):
+    def walk(self) -> Iterator[SpanNode]:
         """Yield this node and every descendant, depth-first."""
         yield self
         for child in self.children:
             yield from child.walk()
 
 
-def load_jsonl(path) -> list[dict[str, Any]]:
-    """Read a tracer JSONL file into a list of span records."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
+def _record_problem(rec: object) -> str | None:
+    """Why ``rec`` is not a span record, or None if it is one."""
+    if not isinstance(rec, dict):
+        return f"expected a span record object, got {type(rec).__name__}"
+    missing = [k for k in ("trace", "span", "name", "start") if k not in rec]
+    if missing:
+        return "span record lacks " + ", ".join(repr(k) for k in missing)
+    if not isinstance(rec["span"], int):
+        return f"span id is not an integer: {rec['span']!r}"
+    for key in ("start", "end"):
+        value = rec.get(key)
+        if not isinstance(value, (int, float)) and (key, value) != ("end", None):
+            return f"{key!r} is not a number: {value!r}"
+    return None
+
+
+def load_jsonl(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
+    """Read a tracer JSONL file into a list of span records.
+
+    Raises ValueError naming ``path:line`` for a line that is not a
+    JSON span record.
+    """
+    records: list[dict[str, Any]] = []
+    with open(path, encoding="utf-8") as fp:
+        for lineno, line in enumerate(fp, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            problem = _record_problem(rec)
+            if problem is not None:
+                raise ValueError(f"{path}:{lineno}: {problem}")
+            records.append(rec)
     return records
 
 
@@ -186,8 +240,25 @@ def request_roots(
 
 
 # ---------------------------------------------------------------------------
-# decomposition
+# the request walk
 # ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class CriticalSegment:
+    """One bucket-labelled interval of a request's decomposition."""
+
+    #: Attribution bucket (``disk.queue``, ``cpu.service``, ...).
+    phase: str
+    #: Name of the span the interval came from (``"ph"`` for phases).
+    name: str
+    node: int | None
+    start: float
+    end: float
+
+    @property
+    def dur(self) -> float:
+        return self.end - self.start
+
+
 def _contains(p: SpanNode, c: SpanNode) -> bool:
     """True if finished span ``c`` lies within phase ``p``'s interval.
 
@@ -195,123 +266,139 @@ def _contains(p: SpanNode, c: SpanNode) -> bool:
     wait always has a higher id than the wait's phase span — which
     disambiguates exact-timestamp boundaries (zero-duration gaps).
     """
-    if c.dur is None:
+    p_end, c_end = p.end, c.end
+    if p_end is None or c_end is None:
         return False
     return (
         p.span_id < c.span_id
         and p.start - _EPS <= c.start
-        and c.end <= p.end + _EPS
+        and c_end <= p_end + _EPS
     )
 
 
-def _decompose_span(span: SpanNode, phases: dict[str, float]) -> None:
-    """Attribute ``span``'s duration into ``phases`` via its children.
+def _split(src: SpanNode, start: float,
+           cuts: Iterable[tuple[str, float]],
+           out: list[CriticalSegment]) -> None:
+    """Append consecutive pieces of ``src`` from ``start`` to each cut."""
+    for bucket, end in cuts:
+        out.append(CriticalSegment(bucket, src.name, src.node, start, end))
+        start = end
 
-    Serial children (phases and sub-spans not inside any phase interval)
-    tile the span; anything not covered by a child lands in ``other``.
+
+def _fill_gaps(src: SpanNode, lo: float, hi: float,
+               spans: Iterable[SpanNode], bucket: str,
+               out: list[CriticalSegment]) -> None:
+    """Append ``bucket`` pieces for gaps wider than ``_EPS`` in [lo, hi]
+    that ``spans`` leave uncovered."""
+    covered = sorted((c.start, c.end) for c in spans if c.end is not None)
+    cur = lo
+    for start, end in [*covered, (hi, hi)]:
+        if start - cur > _EPS:
+            out.append(CriticalSegment(bucket, src.name, src.node, cur, start))
+        cur = max(cur, end)
+
+
+def _walk(span: SpanNode, out: list[CriticalSegment]) -> None:
+    """Append ``span``'s pieces to ``out`` in walk order.
+
+    A phase span is split by its stamps: ``q`` / ``svc`` / ``seek``
+    place the service portion at the *end* of the wait, which is where
+    the service center ran it.  Any other span is tiled by its serial
+    children — phase spans plus sub-spans not inside a phase interval —
+    with uncovered gaps going to ``other``.
     """
-    children = [c for c in span.children if c.dur is not None]
-    ph_children = [c for c in children if c.name == PHASE_SPAN]
-    segments = [
-        c for c in children
-        if not any(p is not c and _contains(p, c) for p in ph_children)
-    ]
-    covered = 0.0
-    for seg in segments:
-        if seg.name == PHASE_SPAN:
-            _attribute_phase(seg, phases)
-        else:
-            _decompose_span(seg, phases)
-        covered += seg.dur
-    leftover = (span.dur or 0.0) - covered
-    if leftover:
-        phases["other"] += leftover
-
-
-def _attribute_phase(p: SpanNode, phases: dict[str, float]) -> None:
-    """Assign one phase span's duration to named attribution buckets."""
-    attrs = p.attrs
+    s, e = span.start, span.end
+    if e is None:  # unfinished: it bounded nothing
+        return
+    if span.name != PHASE_SPAN:
+        children = [c for c in span.children if c.end is not None]
+        phases = [c for c in children if c.name == PHASE_SPAN]
+        serial = [
+            c for c in children
+            if not any(p is not c and _contains(p, c) for p in phases)
+        ]
+        for child in serial:
+            _walk(child, out)
+        _fill_gaps(span, s, e, serial, "other", out)
+        return
+    attrs = span.attrs
     name = attrs.get("p", "other")
-    dur = p.dur or 0.0
+    dur = e - s
     if name in ("cpu", "nic", "bus"):
-        q = attrs.get("q", 0.0)
-        phases[f"{name}.queue"] += q
-        phases[f"{name}.service"] += dur - q
+        q = min(max(attrs.get("q", 0.0), 0.0), dur)
+        _split(span, s, [(f"{name}.queue", s + q), (f"{name}.service", e)],
+               out)
     elif name == "disk":
-        svc = attrs.get("svc", dur)
-        seek = attrs.get("seek", 0.0)
-        phases["disk.queue"] += dur - svc
-        phases["disk.seek"] += seek
-        phases["disk.transfer"] += svc - seek
-    elif name in ("router", "wire"):
-        phases[name] += dur
-    elif name == "master_wait":
-        phases["master.wait"] += dur
-    elif name == "coalesce_wait":
-        phases["coalesce.wait"] += dur
-    elif name == "fault_detect":
-        phases["fault.detect"] += dur
-    elif name == "retry_wait":
-        phases["retry.backoff"] += dur
+        svc = min(attrs.get("svc", dur), dur)
+        seek = min(max(attrs.get("seek", 0.0), 0.0), svc)
+        _split(span, s, [("disk.queue", e - svc),
+                         ("disk.seek", e - svc + seek),
+                         ("disk.transfer", e)], out)
     elif name == "fetch":
-        _refine_fetch(p, phases)
+        _walk_fetch(span, s, e, out)
     else:
-        phases["other"] += dur
+        _split(span, s, [(_PHASE_BUCKET.get(name, "other"), e)], out)
 
 
-def _refine_fetch(p: SpanNode, phases: dict[str, float]) -> None:
-    """Decompose a parallel fan-out wait along its critical path.
+def _walk_fetch(p: SpanNode, s: float, e: float,
+                out: list[CriticalSegment]) -> None:
+    """Critical chain through a parallel fan-out wait [s, e].
 
-    The fetch spans spawned during the wait are siblings of ``p`` under
-    the same parent, contained in ``p``'s interval.  Walking backward
-    from the end of the interval — always taking the span that ends
-    latest but at or before the current frontier — recovers the serial
-    chain that bounded the wait (e.g. ``master_wait`` phase followed by
-    the retried ``peer_fetch``).  Time not explained by the chain was
-    spent waiting on work owned by *other* requests; it goes to
-    ``coalesce.wait`` / ``peer.wait`` / ``disk.queue`` according to what
-    the fan-out contained.
+    Walking backward from ``e``, always take the sibling span that ends
+    latest but at or before the current frontier; the chosen spans are
+    pairwise disjoint (each new frontier is the previous choice's
+    start).  Time the chain leaves uncovered was spent waiting on work
+    owned by *other* requests; it goes to ``coalesce.wait`` /
+    ``peer.wait`` / ``disk.queue`` according to what the fan-out
+    contained.
     """
-    parent = p.parent
-    candidates = [
-        c for c in (parent.children if parent is not None else [])
-        if c is not p and _contains(p, c) and (c.dur or 0.0) > 0.0
-    ]
-    frontier = p.end
-    attributed = 0.0
-    used: set = set()
+    candidates: list[tuple[float, float, int, SpanNode]] = []
+    for c in p.parent.children if p.parent is not None else []:
+        c_end = c.end
+        if (c is not p and c_end is not None and _contains(p, c)
+                and c_end - c.start > 0.0):
+            candidates.append((c_end, c_end - c.start, c.span_id, c))
+    frontier = e
+    chain: list[SpanNode] = []
     while True:
-        best = None
-        for c in candidates:
-            if c.span_id in used or c.end > frontier + _EPS:
-                continue
-            if best is None or (c.end, c.dur, c.span_id) > (
-                best.end, best.dur, best.span_id
-            ):
-                best = c
-        if best is None:
+        fits = [t for t in candidates if t[0] <= frontier + _EPS]
+        if not fits:
             break
-        used.add(best.span_id)
-        if best.name == PHASE_SPAN:
-            _attribute_phase(best, phases)
-        else:
-            _decompose_span(best, phases)
-        attributed += best.dur
-        frontier = best.start
-        if frontier <= p.start + _EPS:
+        best = max(fits, key=lambda t: t[:3])
+        candidates.remove(best)
+        chain.append(best[3])
+        frontier = best[3].start
+        if frontier <= s + _EPS:
             break
-    leftover = (p.dur or 0.0) - attributed
-    if leftover:
-        attrs = p.attrs
-        if attrs.get("j"):
-            bucket = "coalesce.wait"
-        elif attrs.get("pe"):
-            bucket = "peer.wait"
-        else:
-            bucket = "disk.queue"
-        phases[bucket] += leftover
+    for c in chain:
+        _walk(c, out)
+    attrs = p.attrs
+    if attrs.get("j"):
+        bucket = "coalesce.wait"
+    elif attrs.get("pe"):
+        bucket = "peer.wait"
+    else:
+        bucket = "disk.queue"
+    _fill_gaps(p, s, e, chain, bucket, out)
 
 
+def critical_path(root: SpanNode) -> list[CriticalSegment]:
+    """The ordered critical path of one finished request root.
+
+    Segments are non-empty, non-overlapping, sorted by start time, and
+    tile the root span exactly: their durations sum to the root
+    duration up to float tolerance.
+    """
+    pieces: list[CriticalSegment] = []
+    _walk(root, pieces)
+    segs = [seg for seg in pieces if seg.dur > _EPS]
+    segs.sort(key=lambda seg: (seg.start, seg.end))
+    return segs
+
+
+# ---------------------------------------------------------------------------
+# attribution: per-bucket sums of the walk
+# ---------------------------------------------------------------------------
 @dataclass
 class RequestProfile:
     """One request's phase decomposition."""
@@ -332,8 +419,11 @@ class RequestProfile:
 
 def decompose_request(root: SpanNode) -> RequestProfile:
     """Phase decomposition of one finished request root span."""
+    pieces: list[CriticalSegment] = []
+    _walk(root, pieces)
     phases: dict[str, float] = defaultdict(float)
-    _decompose_span(root, phases)
+    for seg in pieces:
+        phases[seg.phase] += seg.dur
     return RequestProfile(
         trace_id=root.trace_id,
         root_name=root.name,
@@ -380,7 +470,7 @@ class Attribution:
             return 0.0
         return sum(r.residual for r in self.requests) / len(self.requests)
 
-    def by_class(self) -> dict[str, "Attribution"]:
+    def by_class(self) -> dict[str, Attribution]:
         """Per-service-class sub-attributions ("local"/"remote"/...)."""
         groups: dict[str, list[RequestProfile]] = defaultdict(list)
         for r in self.requests:
@@ -401,6 +491,80 @@ def attribute(
     logger.info("attributing %d request roots (%d spans total)",
                 len(reqs), len(roots))
     return Attribution([decompose_request(root) for root in reqs])
+
+
+# ---------------------------------------------------------------------------
+# cluster-wide critical-path profile
+# ---------------------------------------------------------------------------
+def _edge_key(a: CriticalSegment, b: CriticalSegment) -> str:
+    a_node = "-" if a.node is None else str(a.node)
+    b_node = "-" if b.node is None else str(b.node)
+    return f"{a.phase}@{a_node} -> {b.phase}@{b_node}"
+
+
+def critical_profile(
+    records: Iterable[dict[str, Any]],
+    top_edges: int = 10,
+    measured_only: bool = True,
+) -> dict[str, Any]:
+    """Cluster-wide critical-path profile over a profiled trace.
+
+    Returns a shared-schema ``critical`` report::
+
+        {"schema_version": ..., "kind": "critical",
+         "requests": N,
+         "mean_critical_ms": ...,      # == mean response time
+         "mean_residual_ms": ...,      # tiling error (float noise)
+         "phase_critical_ms": {...},   # total critical ms per phase
+         "phase_critical_share": {...},
+         "top_edges": [{"edge": "disk.queue@3 -> disk.transfer@3",
+                        "count": ..., "ms": ...}, ...]}
+
+    The *edges* are consecutive critical-segment transitions, weighted
+    by the downstream segment's duration — they name the hand-offs
+    latency flows through, which is where a fix actually lands.
+    """
+    roots, _index = build_trees(records)
+    reqs = request_roots(roots, measured_only=measured_only)
+    phase_ms: dict[str, float] = defaultdict(float)
+    edges: dict[str, dict[str, float]] = {}
+    total_dur = 0.0
+    total_attr = 0.0
+    for root in reqs:
+        path = critical_path(root)
+        total_dur += root.dur or 0.0
+        prev: CriticalSegment | None = None
+        for seg in path:
+            phase_ms[seg.phase] += seg.dur
+            total_attr += seg.dur
+            if prev is not None:
+                key = _edge_key(prev, seg)
+                stats = edges.get(key)
+                if stats is None:
+                    stats = edges[key] = {"count": 0, "ms": 0.0}
+                stats["count"] += 1
+                stats["ms"] += seg.dur
+            prev = seg
+    n = len(reqs)
+    logger.info("critical profile over %d requests (%d edges)",
+                n, len(edges))
+    ranked = sorted(
+        edges.items(), key=lambda kv: (-kv[1]["ms"], kv[0])
+    )[:top_edges]
+    return as_report("critical", {
+        "requests": n,
+        "mean_critical_ms": total_dur / n if n else 0.0,
+        "mean_residual_ms": (total_dur - total_attr) / n if n else 0.0,
+        "phase_critical_ms": dict(sorted(phase_ms.items())),
+        "phase_critical_share": {
+            phase: ms / total_attr if total_attr else 0.0
+            for phase, ms in sorted(phase_ms.items())
+        },
+        "top_edges": [
+            {"edge": key, "count": int(stats["count"]), "ms": stats["ms"]}
+            for key, stats in ranked
+        ],
+    })
 
 
 # ---------------------------------------------------------------------------

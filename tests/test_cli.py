@@ -288,6 +288,22 @@ class TestRunAndAnalyzeCli:
         assert doc["delta_ms"] == pytest.approx(0.0, abs=1e-9)
         assert abs(doc["conservation_residual_ms"]) < 1e-9
 
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",
+        '{"trace": 1, "name": "request", "start": 0.0, "end": 1.0}',
+        '{"trace": 1, "span": 1, "name": "request", "start": "x"}',
+    ])
+    def test_analyze_rejects_non_span_records(self, capsys, tmp_path, line):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            '{"trace": 1, "span": 1, "name": "request", "start": 0.0, '
+            '"end": 1.0}\n' + line + "\n"
+        )
+        assert cli.main(["analyze", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert "analyze: cannot read input:" in err
+        assert f"{trace}:2:" in err
+
     def test_analyze_diff_bad_input(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all {")

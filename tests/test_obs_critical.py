@@ -1,13 +1,22 @@
-"""Tests for critical-path extraction (repro.obs.critical)."""
+"""Tests for the request walk (repro.obs.analyze): critical paths and the
+attribution derived from the same pieces."""
 
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.obs import Observability
-from repro.obs.analyze import attribute, build_trees, request_roots
-from repro.obs.critical import critical_path, critical_profile
+from repro.obs.analyze import (
+    _EPS,
+    attribute,
+    build_trees,
+    critical_path,
+    critical_profile,
+    decompose_request,
+    request_roots,
+)
 from repro.obs.reports import render_critical_report
 from repro.obs.schema import OUTPUT_SCHEMA_VERSION
+from repro.sim.faults import FaultPlan
 from repro.traces import datasets
 
 
@@ -60,8 +69,9 @@ class TestCriticalPath:
         )
         means = attr.phase_means()
         n = profile["requests"]
-        for phase, total in profile["phase_critical_ms"].items():
-            assert total / n == pytest.approx(
+        critical = profile["phase_critical_ms"]
+        for phase in set(critical) | set(means):
+            assert critical.get(phase, 0.0) / n == pytest.approx(
                 means.get(phase, 0.0), abs=1e-9
             ), phase
 
@@ -137,6 +147,24 @@ class TestSyntheticTraces:
         assert segs[0].phase == "coalesce.wait"
         assert (segs[0].start, segs[0].end) == (0.0, 5.0)
 
+    def test_zero_length_pieces(self):
+        # A q=0 cpu phase keeps its cpu.queue bucket in the attribution
+        # but yields no critical segment; a gap within _EPS is dropped.
+        recs = [
+            _rec(1, None, "request", 0.0, 3.0 + _EPS / 2),
+            _rec(2, 1, "ph", 0.0, 1.0, node=0, p="cpu", q=0.0),
+            _rec(3, 1, "ph", 1.0, 3.0, node=0, p="wire"),
+        ]
+        roots, _ = build_trees(recs)
+        assert decompose_request(roots[0]).phases == {
+            "cpu.queue": 0.0, "cpu.service": 1.0, "wire": 2.0,
+        }
+        segs = critical_path(roots[0])
+        assert [(s.phase, s.start, s.end) for s in segs] == [
+            ("cpu.service", 0.0, 1.0),
+            ("wire", 1.0, 3.0),
+        ]
+
     def test_edge_aggregation(self):
         recs = [
             _rec(1, None, "request", 0.0, 4.0),
@@ -148,6 +176,53 @@ class TestSyntheticTraces:
         edges = {e["edge"]: e for e in profile["top_edges"]}
         assert edges["cpu.service@0 -> wire@1"]["count"] == 1
         assert edges["cpu.service@0 -> wire@1"]["ms"] == pytest.approx(2.0)
+
+
+@pytest.fixture(scope="module", params=["cc-kmc", "press"])
+def chaos_run(request):
+    """A profiled chaos run; the plan crashes nodes and drops links."""
+    cfg = ExperimentConfig(
+        system=request.param,
+        trace=datasets.scaled("rutgers", 0.005, num_requests=300),
+        num_nodes=4,
+        mem_mb_per_node=0.25,
+        num_clients=8,
+        seed=0,
+        faults=FaultPlan.random(5, 2000.0, 4, crashes_per_node=4.0,
+                                link_drops=2),
+    )
+    obs = Observability(profile=True)
+    run_experiment(cfg, obs=obs)
+    return request.param, obs.tracer.records
+
+
+class TestFaultTimeDecomposition:
+    def test_every_request_fully_attributed(self, chaos_run):
+        _system, records = chaos_run
+        attr = attribute(records)
+        assert attr.count
+        for r in attr.requests:
+            assert abs(r.residual) < max(1e-6, 1e-9 * r.dur), r.trace_id
+
+    def test_critical_path_tiles_every_request(self, chaos_run):
+        _system, records = chaos_run
+        roots, _ = build_trees(records)
+        for root in request_roots(roots):
+            segs = critical_path(root)
+            for a, b in zip(segs, segs[1:]):
+                assert b.start >= a.end - 1e-9
+            assert sum(s.dur for s in segs) == pytest.approx(
+                root.dur, abs=1e-6
+            )
+
+    def test_fault_waits_are_attributed(self, chaos_run):
+        system, records = chaos_run
+        reqs = attribute(records).requests
+        waits = ["fault.detect"]
+        if system == "cc-kmc":
+            waits.append("retry.backoff")
+        for phase in waits:
+            assert any(r.phases.get(phase, 0.0) > 0.0 for r in reqs), phase
 
 
 class TestRenderCritical:
