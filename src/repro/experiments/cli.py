@@ -17,8 +17,11 @@ Usage::
 
     # Chaos run: fault-free baseline, then the same workload under a
     # seeded fault plan (crashes/link drops/disk stalls), side by side.
+    # A replayed plan (--plan) is checked against --nodes first: an
+    # event naming a node the cluster lacks exits 2 before any run.
     python -m repro.experiments.cli chaos --system cc-kmc \\
         --crashes-per-node 2 --plan-out plan.json --trace chaos.jsonl
+    python -m repro.experiments.cli chaos --system cc-kmc --plan plan.json
 
     # Offline analysis of a dumped run: attribution report, Perfetto
     # export, windowed time series, slowest requests, and the
@@ -60,6 +63,12 @@ Usage::
     python -m repro.obs.ledger list ledger.jsonl
     python -m repro.experiments.cli analyze fleet ledger.jsonl
 
+Every JSON output flag (``--json``, ``--critical-out``,
+``--timeseries-out``, ``--slo-out``) takes ``-`` for stdout.  A JSON
+document on stdout is the only thing there: reports, banners and
+``->`` confirmations go to stderr, so ``... --json - | jq`` always
+parses.
+
 Pass ``-v`` / ``--verbose`` (repeatable) anywhere for INFO/DEBUG
 logging.  Workload scale is controlled by the usual environment knobs
 (``REPRO_SCALE`` / ``REPRO_REQUESTS`` / ``REPRO_CLIENTS`` /
@@ -69,8 +78,10 @@ logging.  Workload scale is controlled by the usual environment knobs
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
+import math
 import sys
 from collections.abc import Callable
 
@@ -78,7 +89,7 @@ from . import ablations, defaults, figures, tables
 from .report import banner
 
 __all__ = [
-    "ARTIFACTS", "main", "run_command", "analyze_command",
+    "ARTIFACTS", "COMMANDS", "main", "run_command", "analyze_command",
     "analyze_diff_command", "analyze_fleet_command", "chaos_command",
     "sweep_command",
 ]
@@ -108,21 +119,44 @@ ARTIFACTS: dict[str, Callable[[], str]] = {
 }
 
 
-def _positive(convert):
+def _positive(convert, *, or_zero=False):
+    """argparse type: a finite number > 0 (>= 0 with ``or_zero``)."""
     def parse(text: str):
         value = convert(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        # NaN fails every comparison, so it is rejected along with inf.
+        if not (value >= 0 if or_zero else value > 0) or not value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be {'>= 0' if or_zero else 'positive'} and finite, "
+                f"got {text}")
         return value
 
     return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+@contextlib.contextmanager
+def _json_stdout(*paths):
+    """Keep stdout pure JSON while any of ``paths`` is ``-``.
+
+    Yields the real stdout for :func:`_write_json`; inside the block
+    every other print goes to stderr.
+    """
+    stdout = sys.stdout
+    if "-" not in paths:
+        yield stdout
+        return
+    with contextlib.redirect_stdout(sys.stderr):
+        yield stdout
+
+
+def _write_json(doc, path, label, stdout) -> None:
+    """Write ``doc`` as sorted, indented JSON to ``path`` (``-`` = stdout)."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=float)
+    if path == "-":
+        print(text, file=stdout)
+        return
+    with open(path, "w", encoding="utf-8") as fp:
+        fp.write(text + "\n")
+    print(f"{label:<17} -> {path}")
 
 
 def _add_ledger_arg(p: argparse.ArgumentParser) -> None:
@@ -133,115 +167,39 @@ def _add_ledger_arg(p: argparse.ArgumentParser) -> None:
                         "with `python -m repro.obs.ledger list/show`")
 
 
-def _run_artifacts(opts, extra=()) -> dict:
-    """Artifact paths this invocation wrote, for the ledger record."""
-    artifacts = {}
-    for name in ("trace", "metrics_out", "cachestats", "slo_out",
-                 "plan_out") + tuple(extra):
-        path = getattr(opts, name, None)
-        if path:
-            artifacts[name.replace("_out", "")] = path
-    return artifacts
-
-
 def _open_ledger(opts):
     """The run ledger for ``--ledger FILE``, or None."""
-    if getattr(opts, "ledger", None) is None:
+    if opts.ledger is None:
         return None
     from ..obs.ledger import Ledger
 
     return Ledger(opts.ledger)
 
 
-def _ledger_run_record(ledger, kind, opts, cfg, *, status, wall_s,
-                       result=None, error=None) -> None:
-    """Append one run/chaos manifest record for a CLI invocation."""
-    from ..bench.schema import params_digest
-
-    coords = {
-        "system": cfg.system_name(),
-        "workload": cfg.trace.spec.name,
-        "num_nodes": cfg.num_nodes,
-        "mem_mb_per_node": cfg.mem_mb_per_node,
-        "num_clients": cfg.num_clients,
-        "seed": cfg.seed,
-    }
-    fields = dict(
-        coords,
-        params_digest=params_digest(coords),
-        wall_s=round(wall_s, 6),
-        artifacts=_run_artifacts(opts),
-    )
-    if result is not None:
-        fields["summary"] = {
-            "throughput_rps": result.throughput_rps,
-            "mean_response_ms": result.mean_response_ms,
-            "hit_rate_total": result.hit_rates.get("total", 0.0),
-        }
-    if error is not None:
-        fields["error"] = error
-    record = ledger.append(kind, status=status, **fields)
-    print(f"ledger            -> {ledger.path} (run id {record['run_id']})")
-
-
-def _add_slo_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--slo", metavar="FILE", default=None,
-                   help="evaluate this SLO spec (JSON: window_ms, latency "
-                        "p95/p99 targets, availability, burn rate) over "
-                        "every measured completion; breaches emit "
-                        "deterministic `alert` point spans in the trace")
-    p.add_argument("--slo-out", metavar="FILE", default=None,
-                   help="write the SLO evaluation report JSON to FILE "
-                        "(implies --slo is required)")
-
-
-def _load_slo_spec(opts):
-    """Parse --slo/--slo-out into an SloSpec (or None); raises SystemExit
-    with code 2 on a bad spec."""
-    if opts.slo is None:
-        if opts.slo_out:
+def _load_slo_spec(path, out_path=None):
+    """Parse an SLO spec file (None when ``path`` is None); exits 2 on a
+    bad spec or on ``out_path`` without a spec."""
+    if path is None:
+        if out_path:
             print("--slo-out requires --slo SPEC", file=sys.stderr)
             raise SystemExit(2)
         return None
     from ..obs.slo import SloSpec
 
     try:
-        return SloSpec.load(opts.slo)
+        return SloSpec.load(path)
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             ValueError) as exc:
-        print(f"cannot load SLO spec {opts.slo}: {exc}", file=sys.stderr)
+        print(f"cannot load SLO spec {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
 
-def _print_slo(report, opts) -> None:
-    """Print an SLO evaluation report and honour --slo-out.
-
-    ``report`` must come from ``obs.slo.finalize()`` called *before* the
-    trace is dumped — finalize closes the last window, and its alerts
-    must land in the dumped JSONL.
-    """
-    if report is None:
-        return
-    from ..obs.reports import render_slo_report
-
-    print()
-    print(banner(f"SLO evaluation: {opts.slo}"))
-    print(render_slo_report(report))
-    if opts.slo_out:
-        with open(opts.slo_out, "w", encoding="utf-8") as fp:
-            json.dump(report, fp, indent=2, sort_keys=True, default=float)
-            fp.write("\n")
-        print(f"slo report        -> {opts.slo_out}")
-
-
-def _run_parser() -> argparse.ArgumentParser:
+def _experiment_options() -> argparse.ArgumentParser:
+    """The options ``run`` and ``chaos`` share (an argparse parent)."""
     from ..traces.datasets import TRACE_NAMES
     from .runner import SYSTEMS
 
-    p = argparse.ArgumentParser(
-        prog="repro-experiments run",
-        description="Run one observable experiment point.",
-    )
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--system", default="cc-kmc",
                    choices=list(SYSTEMS), help="server variant")
     p.add_argument("--workload", default="rutgers", choices=list(TRACE_NAMES),
@@ -254,38 +212,33 @@ def _run_parser() -> argparse.ArgumentParser:
                    help="closed-loop clients (default: REPRO_CLIENTS)")
     p.add_argument("--seed", type=int, default=0, help="root RNG seed")
     p.add_argument("--trace", metavar="FILE", default=None,
-                   help="write per-request span trace as JSONL to FILE")
+                   help="write the (chaotic) run's per-request span trace "
+                        "as JSONL to FILE")
     p.add_argument("--metrics-out", metavar="FILE", default=None,
                    help="write the metrics-registry snapshot (JSON) to FILE")
-    p.add_argument("--invariant-every", type=_non_negative_int, default=0,
-                   metavar="N",
-                   help="sample check_invariants every N kernel events "
-                        "(middleware systems; 0 = off)")
     p.add_argument("--profile", action="store_true",
                    help="wrap every blocking wait in a phase span and "
-                        "print the critical-path bottleneck report")
-    p.add_argument("--cachestats", metavar="FILE", default=None,
-                   help="record cache-behavior telemetry (duplicate share, "
-                        "eviction provenance, forwarding hops) and dump it "
-                        "as JSONL to FILE; render with `analyze --cache`")
-    _add_slo_args(p)
+                        "print the critical-path bottleneck report (fault "
+                        "waits show up as fault.detect / retry.backoff)")
+    p.add_argument("--slo", metavar="FILE", default=None,
+                   help="evaluate this SLO spec (JSON: window_ms, latency "
+                        "p95/p99 targets, availability, burn rate) over "
+                        "every measured completion; breaches emit "
+                        "deterministic `alert` point spans in the trace")
+    p.add_argument("--slo-out", metavar="FILE", default=None,
+                   help="write the SLO evaluation report JSON to FILE "
+                        "('-' for stdout; requires --slo)")
     _add_ledger_arg(p)
     return p
 
 
-def run_command(argv) -> int:
-    """``run`` subcommand: one experiment with observability attached."""
-    import time
+def _experiment_config(opts):
+    """The ExperimentConfig a ``run``/``chaos`` invocation names."""
+    from .runner import ExperimentConfig
 
-    from ..obs import Observability
-    from .runner import ExperimentConfig, run_experiment
-
-    opts = _run_parser().parse_args(argv)
-    slo_spec = _load_slo_spec(opts)
-    trace = defaults.workload(opts.workload)
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         system=opts.system,
-        trace=trace,
+        trace=defaults.workload(opts.workload),
         num_nodes=opts.nodes,
         mem_mb_per_node=(
             opts.mem_mb if opts.mem_mb is not None else 32.0 * defaults.SCALE
@@ -293,6 +246,49 @@ def run_command(argv) -> int:
         num_clients=opts.clients or defaults.NUM_CLIENTS,
         seed=opts.seed,
     )
+
+
+def _ledger_run_record(ledger, kind, opts, cfg, *, status, wall_s,
+                       result=None, error=None) -> None:
+    """Append one run/chaos manifest record for a CLI invocation."""
+    from dataclasses import asdict
+
+    from .parallel import cell_info, cell_summary
+
+    fields = asdict(cell_info(0, cfg))
+    del fields["index"]
+    fields["wall_s"] = round(wall_s, 6)
+    fields["artifacts"] = {
+        name.replace("_out", ""): getattr(opts, name)
+        for name in ("trace", "metrics_out", "cachestats", "slo_out",
+                     "plan_out")
+        if getattr(opts, name, None)
+    }
+    if result is not None:
+        fields["summary"] = cell_summary(result, None)
+    if error is not None:
+        fields["error"] = error
+    record = ledger.append(kind, status=status, **fields)
+    print(f"ledger            -> {ledger.path} (run id {record['run_id']})")
+
+
+def _print_by_class(workload) -> None:
+    for cls in sorted(workload.response_by_class_ms):
+        print(f"  {cls:<10} {workload.response_by_class_ms[cls]:8.2f} ms"
+              f"  x{workload.requests_by_class[cls]}")
+
+
+def _run_and_report(kind, opts, cfg, slo_spec, report) -> int:
+    """Run ``cfg`` observed and under the ledger, then print its outputs.
+
+    ``report(result, obs)`` prints the command's own result lines
+    between the banner and the artifact lines.
+    """
+    import time
+
+    from ..obs import Observability
+    from .runner import run_experiment
+
     obs = Observability(
         trace=opts.trace is not None,
         invariant_every=opts.invariant_every,
@@ -307,7 +303,7 @@ def run_command(argv) -> int:
     except Exception as exc:
         if ledger is not None:
             _ledger_run_record(
-                ledger, "run", opts, cfg,
+                ledger, kind, opts, cfg,
                 status="failed",
                 wall_s=time.perf_counter() - t0,  # simlint: disable=SL02 -- ledger wall-clock provenance, not sim state
                 error=f"{type(exc).__name__}: {exc}",
@@ -318,55 +314,177 @@ def run_command(argv) -> int:
     # are part of the JSONL (and the golden digest, when pinned).
     slo_report = obs.slo.finalize() if obs.slo is not None else None
 
-    print(banner(f"run {cfg.system_name()} / {opts.workload}"))
-    print(f"throughput        {result.throughput_rps:.1f} req/s")
-    print(f"mean response     {result.mean_response_ms:.2f} ms")
-    for cls in sorted(result.workload.response_by_class_ms):
-        print(f"  {cls:<10} {result.workload.response_by_class_ms[cls]:8.2f} ms"
-              f"  x{result.workload.requests_by_class[cls]}")
-    hr = result.hit_rates
-    print(f"hit rates         local={hr['local']:.3f} remote={hr['remote']:.3f} "
-          f"disk={hr['disk']:.3f}")
-    if obs.sampler is not None:
-        print(f"invariant checks  {obs.sampler.checks_run} "
-              f"(every {obs.sampler.every} of {obs.sampler.events_seen} events)")
-    elif opts.invariant_every:
-        print("invariant checks  n/a (no middleware layer in this system)")
-    if opts.trace:
-        obs.tracer.dump_jsonl(opts.trace)
-        print(f"trace             {len(obs.tracer.records)} spans -> "
-              f"{opts.trace} (sha256 {obs.tracer.digest()[:16]}...)")
-    if opts.metrics_out:
-        obs.registry.dump(opts.metrics_out)
-        print(f"metrics           -> {opts.metrics_out}")
-    if opts.cachestats:
-        scope = obs.cachescope
-        scope.dump_jsonl(opts.cachestats)
-        snap_totals = scope.snapshot()["totals"]
-        print(f"cachestats        -> {opts.cachestats}")
-        print(f"  duplicate share {snap_totals['duplicate_share']:.4f} "
-              f"({snap_totals['duplicate_kb']:.0f} of "
-              f"{snap_totals['resident_kb']:.0f} KB resident)")
-        print(f"  evictions       master={snap_totals['master_evictions']} "
-              f"nonmaster={snap_totals['nonmaster_evictions']} "
-              f"violations={snap_totals['violations']}")
-        print(f"  forwards        {snap_totals['forwards']} "
-              f"stale lookups {snap_totals['stale_lookups']}")
-    if opts.profile:
-        from ..obs.analyze import attribute
-        from ..obs.reports import render_profile_report
+    with _json_stdout(opts.slo_out) as stdout:
+        print(banner(f"{kind} {cfg.system_name()} / {opts.workload}"))
+        report(result, obs)
+        if opts.trace:
+            obs.tracer.dump_jsonl(opts.trace)
+            print(f"trace             {len(obs.tracer.records)} spans -> "
+                  f"{opts.trace} (sha256 {obs.tracer.digest()[:16]}...)")
+        if opts.metrics_out:
+            obs.registry.dump(opts.metrics_out)
+            print(f"metrics           -> {opts.metrics_out}")
+        if opts.cachestats:
+            obs.cachescope.dump_jsonl(opts.cachestats)
+            totals = obs.cachescope.snapshot()["totals"]
+            print(f"cachestats        -> {opts.cachestats}")
+            print(f"  duplicate share {totals['duplicate_share']:.4f} "
+                  f"({totals['duplicate_kb']:.0f} of "
+                  f"{totals['resident_kb']:.0f} KB resident)")
+            print(f"  evictions       master={totals['master_evictions']} "
+                  f"nonmaster={totals['nonmaster_evictions']} "
+                  f"violations={totals['violations']}")
+            print(f"  forwards        {totals['forwards']} "
+                  f"stale lookups {totals['stale_lookups']}")
+        if opts.profile:
+            from ..obs.analyze import attribute
+            from ..obs.reports import render_profile_report
 
-        print()
-        print(banner("critical-path profile"))
-        print(render_profile_report(
-            attribute(obs.tracer.records),
-            metrics=obs.registry.snapshot(),
-        ))
-    _print_slo(slo_report, opts)
-    if ledger is not None:
-        _ledger_run_record(ledger, "run", opts, cfg, status="ok",
-                           wall_s=wall_s, result=result)
+            print()
+            print(banner("critical-path profile"
+                         + (" (chaotic run)" if kind == "chaos" else "")))
+            print(render_profile_report(
+                attribute(obs.tracer.records),
+                metrics=obs.registry.snapshot(),
+            ))
+        if slo_report is not None:
+            from ..obs.reports import render_slo_report
+
+            print()
+            print(banner(f"SLO evaluation: {opts.slo}"))
+            print(render_slo_report(slo_report))
+            if opts.slo_out:
+                _write_json(slo_report, opts.slo_out, "slo report", stdout)
+        if ledger is not None:
+            _ledger_run_record(ledger, kind, opts, cfg, status="ok",
+                               wall_s=wall_s, result=result)
     return 0
+
+
+def _run_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="repro-experiments run",
+        description="Run one observable experiment point.",
+        parents=[_experiment_options()],
+    )
+    p.add_argument("--invariant-every", type=_positive(int, or_zero=True),
+                   default=0, metavar="N",
+                   help="sample check_invariants every N kernel events "
+                        "(middleware systems; 0 = off)")
+    p.add_argument("--cachestats", metavar="FILE", default=None,
+                   help="record cache-behavior telemetry (duplicate share, "
+                        "eviction provenance, forwarding hops) and dump it "
+                        "as JSONL to FILE; render with `analyze --cache`")
+    return p
+
+
+def run_command(argv) -> int:
+    """``run`` subcommand: one experiment with observability attached."""
+    opts = _run_parser().parse_args(argv)
+    slo_spec = _load_slo_spec(opts.slo, opts.slo_out)
+    cfg = _experiment_config(opts)
+
+    def report(result, obs) -> None:
+        print(f"throughput        {result.throughput_rps:.1f} req/s")
+        print(f"mean response     {result.mean_response_ms:.2f} ms")
+        _print_by_class(result.workload)
+        hr = result.hit_rates
+        print(f"hit rates         local={hr['local']:.3f} "
+              f"remote={hr['remote']:.3f} disk={hr['disk']:.3f}")
+        if obs.sampler is not None:
+            print(f"invariant checks  {obs.sampler.checks_run} (every "
+                  f"{obs.sampler.every} of {obs.sampler.events_seen} events)")
+        elif opts.invariant_every:
+            print("invariant checks  n/a (no middleware layer in this system)")
+
+    return _run_and_report("run", opts, cfg, slo_spec, report)
+
+
+def _chaos_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="repro-experiments chaos",
+        description="Run a workload under a deterministic fault plan and "
+                    "compare it with the fault-free baseline.",
+        parents=[_experiment_options()],
+    )
+    p.add_argument("--plan-seed", type=int, default=1,
+                   help="fault-plan RNG seed (independent of --seed)")
+    p.add_argument("--crashes-per-node", type=_positive(float, or_zero=True),
+                   default=1.0,
+                   help="expected crashes per node over the run")
+    p.add_argument("--link-drops", type=_positive(int, or_zero=True),
+                   default=0, help="number of transient link failures")
+    p.add_argument("--disk-stalls", type=_positive(int, or_zero=True),
+                   default=0, help="number of disk stalls")
+    p.add_argument("--plan", metavar="FILE", default=None,
+                   help="replay this fault plan JSON instead of generating "
+                        "one (skips the baseline sizing run); every node id "
+                        "in it must be below --nodes")
+    p.add_argument("--plan-out", metavar="FILE", default=None,
+                   help="archive the fault plan as JSON to FILE")
+    # run-only observability, off under chaos
+    p.set_defaults(invariant_every=0, cachestats=None)
+    return p
+
+
+def chaos_command(argv) -> int:
+    """``chaos`` subcommand: baseline vs faulted run of one workload."""
+    from dataclasses import replace
+
+    from ..sim.faults import FaultPlan
+    from .runner import run_experiment
+
+    opts = _chaos_parser().parse_args(argv)
+    slo_spec = _load_slo_spec(opts.slo, opts.slo_out)
+    cfg = _experiment_config(opts)
+    baseline = None
+    if opts.plan:
+        try:
+            plan = FaultPlan.load(opts.plan).validate(opts.nodes)
+        except (OSError, json.JSONDecodeError, KeyError, TypeError,
+                ValueError) as exc:
+            print(f"chaos: cannot load plan: {exc}", file=sys.stderr)
+            return 2
+    else:
+        # Fault-free baseline sizes the plan horizon to this workload —
+        # and is the comparison row printed below.
+        baseline = run_experiment(cfg)
+        plan = FaultPlan.random(
+            opts.plan_seed,
+            baseline.workload.total_ms,
+            opts.nodes,
+            crashes_per_node=opts.crashes_per_node,
+            link_drops=opts.link_drops,
+            disk_stalls=opts.disk_stalls,
+        )
+    if opts.plan_out:
+        plan.dump(opts.plan_out)
+
+    def report(result, obs) -> None:
+        print(f"fault plan        {len(plan)} events over "
+              f"{plan.horizon_ms:.0f} ms"
+              + (f" (replaying {opts.plan})" if opts.plan else "")
+              + (f" -> {opts.plan_out}" if opts.plan_out else ""))
+        w = result.workload
+        vs_tput = vs_resp = ""
+        if baseline is not None:
+            b = baseline.workload
+            ratio = (w.throughput_rps / b.throughput_rps
+                     if b.throughput_rps else 0.0)
+            vs_tput = f" (fault-free {b.throughput_rps:.1f}, x{ratio:.2f})"
+            vs_resp = f" (fault-free {b.mean_response_ms:.2f})"
+        print(f"throughput        {w.throughput_rps:.1f} req/s{vs_tput}")
+        print(f"mean response     {w.mean_response_ms:.2f} ms{vs_resp}")
+        print(f"failed requests   {w.failed_requests} of "
+              f"{w.measured_requests + w.failed_requests} measured")
+        _print_by_class(w)
+        if result.fault_counters:
+            print("fault counters    "
+                  + " ".join(f"{k}={v}" for k, v
+                             in sorted(result.fault_counters.items())))
+
+    return _run_and_report("chaos", opts, replace(cfg, faults=plan),
+                           slo_spec, report)
 
 
 def _sweep_parser() -> argparse.ArgumentParser:
@@ -414,11 +532,11 @@ def _sweep_parser() -> argparse.ArgumentParser:
 def _ledger_sweep_records(ledger, opts, outcomes, progress_summary,
                           workers, n_cells) -> None:
     """Append the sweep manifest + one cell record per outcome."""
-    artifacts = {}
-    if opts.bench_out:
-        artifacts["bench"] = opts.bench_out
-    if opts.progress:
-        artifacts["progress"] = opts.progress
+    from dataclasses import asdict
+
+    artifacts = {name: path for name, path in (("bench", opts.bench_out),
+                                               ("progress", opts.progress))
+                 if path}
     sweep_rec = ledger.append(
         "sweep",
         status="failed" if any(not o.ok for o in outcomes) else "ok",
@@ -429,20 +547,10 @@ def _ledger_sweep_records(ledger, opts, outcomes, progress_summary,
         artifacts=artifacts,
     )
     for out in outcomes:
-        fields = dict(
-            cell_index=out.info.index,
-            system=out.info.system,
-            workload=out.info.workload,
-            num_nodes=out.info.num_nodes,
-            mem_mb_per_node=out.info.mem_mb_per_node,
-            num_clients=out.info.num_clients,
-            seed=out.info.seed,
-            params_digest=out.info.params_digest,
-            wall_s=round(out.wall_s, 6),
-            worker=out.worker,
-            summary=out.summary,
-            artifacts=out.artifacts,
-        )
+        fields = asdict(out.info)
+        fields["cell_index"] = fields.pop("index")
+        fields.update(wall_s=round(out.wall_s, 6), worker=out.worker,
+                      summary=out.summary, artifacts=out.artifacts)
         if out.error is not None:
             fields["error"] = out.error
         ledger.append(
@@ -459,25 +567,20 @@ def _ledger_sweep_records(ledger, opts, outcomes, progress_summary,
 def sweep_command(argv) -> int:
     """``sweep`` subcommand: sharded figure sweep + BENCH record.
 
-    ``--ledger``/``--progress`` switch to the *observed* runner: same
-    cells, same merged results (telemetry is passive — BENCH records
-    stay byte-identical), plus per-cell manifests, artifacts and live
-    heartbeat events.  A failing cell no longer surfaces as a bare
-    multiprocessing traceback: it is named (system/trace/params digest),
-    recorded in the ledger, and the exit code is 1.
+    Every sweep runs on the observed runner; its telemetry is passive,
+    so BENCH records are byte-identical with or without it.
+    ``--ledger`` adds per-cell manifests and artifacts, ``--progress``
+    live heartbeat events.  A failing cell never surfaces as a bare
+    multiprocessing traceback: it is named (system/trace/params digest)
+    on stderr and in the ledger, no BENCH record is written, and the
+    exit code is 1.
     """
     import time
 
     from ..bench.schema import dump_record, wrap_result
     from ..traces.datasets import TRACE_NAMES
     from .figures import fig2_cells, fig2_collect, render_fig2
-    from .parallel import (
-        SweepCellError,
-        SweepProgress,
-        default_workers,
-        run_cells,
-        run_cells_observed,
-    )
+    from .parallel import SweepProgress, default_workers, run_cells_observed
 
     opts = _sweep_parser().parse_args(argv)
     workers = opts.workers if opts.workers is not None else default_workers()
@@ -488,44 +591,33 @@ def sweep_command(argv) -> int:
     names, memories, cells = fig2_cells(
         trace_names=trace_names, num_nodes=opts.nodes, memories_mb=memories
     )
-    n_systems = len(figures.ALL_SYSTEMS)
     n_cells = len(cells)
     print(banner(f"sweep {opts.figure}"))
     print(f"cells             {n_cells} "
-          f"({len(trace_names)} traces x {n_systems} systems x "
-          f"{len(memories)} memory points)")
+          f"({len(trace_names)} traces x {len(figures.ALL_SYSTEMS)} systems "
+          f"x {len(memories)} memory points)")
     print(f"workers           {workers}")
-    observed = opts.ledger is not None or opts.progress is not None
     ledger = _open_ledger(opts)
+    progress = SweepProgress(
+        total=n_cells,
+        path=opts.progress,
+        stream=sys.stderr if opts.progress else None,
+    )
     failures = []
-    outcomes = []
     # Wall-clock is operator-facing progress reporting only; it never
     # feeds simulation state (results are a pure function of the cells).
     t0 = time.perf_counter()  # simlint: disable=SL02 -- elapsed-time report, not sim state
-    if observed:
-        artifacts_dir = opts.artifacts
-        if artifacts_dir is None and opts.ledger is not None:
-            artifacts_dir = opts.ledger + ".d"
-        progress = SweepProgress(
-            total=n_cells,
-            path=opts.progress,
-            stream=sys.stderr if opts.progress else None,
-        )
-        results, outcomes = run_cells_observed(
-            cells, workers=workers,
-            progress=progress,
-            artifacts_dir=artifacts_dir if ledger is not None else None,
-            profile=ledger is not None,
-            failures=failures,
-        )
-        progress_summary = progress.summary()
-    else:
-        try:
-            results = run_cells(cells, workers=workers)
-        except SweepCellError as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 1
-        progress_summary = None
+    results, outcomes = run_cells_observed(
+        cells, workers=workers,
+        progress=progress,
+        artifacts_dir=(
+            (opts.artifacts or opts.ledger + ".d") if ledger is not None
+            else None
+        ),
+        profile=ledger is not None,
+        failures=failures,
+    )
+    progress_summary = progress.summary()
     elapsed = time.perf_counter() - t0  # simlint: disable=SL02 -- elapsed-time report, not sim state
     print(f"elapsed           {elapsed:.1f} s wall "
           f"({n_cells / elapsed:.2f} cells/s)")
@@ -563,164 +655,6 @@ def sweep_command(argv) -> int:
     return 0
 
 
-def _chaos_parser() -> argparse.ArgumentParser:
-    from ..traces.datasets import TRACE_NAMES
-    from .runner import SYSTEMS
-
-    p = argparse.ArgumentParser(
-        prog="repro-experiments chaos",
-        description="Run a workload under a deterministic fault plan and "
-                    "compare it with the fault-free baseline.",
-    )
-    p.add_argument("--system", default="cc-kmc",
-                   choices=list(SYSTEMS), help="server variant")
-    p.add_argument("--workload", default="rutgers", choices=list(TRACE_NAMES),
-                   help="trace name (scaled per REPRO_SCALE)")
-    p.add_argument("--mem-mb", type=_positive(float), default=None,
-                   help="per-node memory MB (default: 32 x scale)")
-    p.add_argument("--nodes", type=_positive(int), default=8,
-                   help="cluster size")
-    p.add_argument("--clients", type=_positive(int), default=None,
-                   help="closed-loop clients (default: REPRO_CLIENTS)")
-    p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    p.add_argument("--plan-seed", type=int, default=1,
-                   help="fault-plan RNG seed (independent of --seed)")
-    p.add_argument("--crashes-per-node", type=float, default=1.0,
-                   help="expected crashes per node over the run")
-    p.add_argument("--link-drops", type=_non_negative_int, default=0,
-                   help="number of transient link failures")
-    p.add_argument("--disk-stalls", type=_non_negative_int, default=0,
-                   help="number of disk stalls")
-    p.add_argument("--plan", metavar="FILE", default=None,
-                   help="replay this fault plan JSON instead of generating "
-                        "one (skips the baseline sizing run)")
-    p.add_argument("--plan-out", metavar="FILE", default=None,
-                   help="archive the fault plan as JSON to FILE")
-    p.add_argument("--trace", metavar="FILE", default=None,
-                   help="write the chaotic run's span trace JSONL to FILE")
-    p.add_argument("--metrics-out", metavar="FILE", default=None,
-                   help="write the metrics-registry snapshot (JSON) to FILE")
-    p.add_argument("--profile", action="store_true",
-                   help="phase spans + critical-path report (fault waits "
-                        "show up as fault.detect / retry.backoff)")
-    _add_slo_args(p)
-    _add_ledger_arg(p)
-    return p
-
-
-def chaos_command(argv) -> int:
-    """``chaos`` subcommand: baseline vs faulted run of one workload."""
-    import time
-    from dataclasses import replace
-
-    from ..obs import Observability
-    from ..sim.faults import FaultPlan
-    from .runner import ExperimentConfig, run_experiment
-
-    opts = _chaos_parser().parse_args(argv)
-    slo_spec = _load_slo_spec(opts)
-    trace = defaults.workload(opts.workload)
-    base_cfg = ExperimentConfig(
-        system=opts.system,
-        trace=trace,
-        num_nodes=opts.nodes,
-        mem_mb_per_node=(
-            opts.mem_mb if opts.mem_mb is not None else 32.0 * defaults.SCALE
-        ),
-        num_clients=opts.clients or defaults.NUM_CLIENTS,
-        seed=opts.seed,
-    )
-    baseline = None
-    if opts.plan:
-        try:
-            plan = FaultPlan.load(opts.plan)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                ValueError) as exc:
-            print(f"chaos: cannot load plan: {exc}", file=sys.stderr)
-            return 2
-    else:
-        # Fault-free baseline sizes the plan horizon to this workload —
-        # and is the comparison row printed below.
-        baseline = run_experiment(base_cfg)
-        plan = FaultPlan.random(
-            opts.plan_seed,
-            baseline.workload.total_ms,
-            opts.nodes,
-            crashes_per_node=opts.crashes_per_node,
-            link_drops=opts.link_drops,
-            disk_stalls=opts.disk_stalls,
-        )
-    if opts.plan_out:
-        plan.dump(opts.plan_out)
-    obs = Observability(
-        trace=opts.trace is not None, profile=opts.profile, slo=slo_spec
-    )
-    ledger = _open_ledger(opts)
-    t0 = time.perf_counter()  # simlint: disable=SL02 -- ledger wall-clock provenance, not sim state
-    try:
-        result = run_experiment(replace(base_cfg, faults=plan), obs=obs)
-    except Exception as exc:
-        if ledger is not None:
-            _ledger_run_record(
-                ledger, "chaos", opts, base_cfg,
-                status="failed",
-                wall_s=time.perf_counter() - t0,  # simlint: disable=SL02 -- ledger wall-clock provenance, not sim state
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        raise
-    wall_s = time.perf_counter() - t0  # simlint: disable=SL02 -- ledger wall-clock provenance, not sim state
-    slo_report = obs.slo.finalize() if obs.slo is not None else None
-
-    print(banner(f"chaos {base_cfg.system_name()} / {opts.workload}"))
-    print(f"fault plan        {len(plan)} events over "
-          f"{plan.horizon_ms:.0f} ms"
-          + (f" (replaying {opts.plan})" if opts.plan else "")
-          + (f" -> {opts.plan_out}" if opts.plan_out else ""))
-    w = result.workload
-    if baseline is not None:
-        b = baseline.workload
-        ratio = (w.throughput_rps / b.throughput_rps
-                 if b.throughput_rps else 0.0)
-        print(f"throughput        {w.throughput_rps:.1f} req/s "
-              f"(fault-free {b.throughput_rps:.1f}, x{ratio:.2f})")
-        print(f"mean response     {w.mean_response_ms:.2f} ms "
-              f"(fault-free {b.mean_response_ms:.2f})")
-    else:
-        print(f"throughput        {w.throughput_rps:.1f} req/s")
-        print(f"mean response     {w.mean_response_ms:.2f} ms")
-    print(f"failed requests   {w.failed_requests} of "
-          f"{w.measured_requests + w.failed_requests} measured")
-    for cls in sorted(w.response_by_class_ms):
-        print(f"  {cls:<10} {w.response_by_class_ms[cls]:8.2f} ms"
-              f"  x{w.requests_by_class[cls]}")
-    if result.fault_counters:
-        print("fault counters    "
-              + " ".join(f"{k}={v}"
-                         for k, v in sorted(result.fault_counters.items())))
-    if opts.trace:
-        obs.tracer.dump_jsonl(opts.trace)
-        print(f"trace             {len(obs.tracer.records)} spans -> "
-              f"{opts.trace} (sha256 {obs.tracer.digest()[:16]}...)")
-    if opts.metrics_out:
-        obs.registry.dump(opts.metrics_out)
-        print(f"metrics           -> {opts.metrics_out}")
-    if opts.profile:
-        from ..obs.analyze import attribute
-        from ..obs.reports import render_profile_report
-
-        print()
-        print(banner("critical-path profile (chaotic run)"))
-        print(render_profile_report(
-            attribute(obs.tracer.records),
-            metrics=obs.registry.snapshot(),
-        ))
-    _print_slo(slo_report, opts)
-    if ledger is not None:
-        _ledger_run_record(ledger, "chaos", opts, base_cfg, status="ok",
-                           wall_s=wall_s, result=result)
-    return 0
-
-
 def _analyze_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro-experiments analyze",
@@ -748,19 +682,115 @@ def _analyze_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeseries", action="store_true",
                    help="print windowed throughput / utilization charts")
     p.add_argument("--timeseries-out", metavar="FILE", default=None,
-                   help="write the windowed time series as JSON to FILE")
+                   help="write the windowed time series as JSON to FILE "
+                        "('-' for stdout)")
     p.add_argument("--window-ms", type=_positive(float), default=None,
                    help="time-series window width (default: run length / 60)")
-    p.add_argument("--top", type=_non_negative_int, default=0, metavar="K",
+    p.add_argument("--top", type=_positive(int, or_zero=True), default=0,
+                   metavar="K",
                    help="print the K slowest requests with span trees")
     p.add_argument("--critical", action="store_true",
                    help="print the cluster-wide critical-path profile "
                         "(per-phase critical seconds + top critical edges)")
     p.add_argument("--critical-out", metavar="FILE", default=None,
-                   help="write the critical-path profile as JSON to FILE")
+                   help="write the critical-path profile as JSON to FILE "
+                        "('-' for stdout)")
     p.add_argument("--all-requests", action="store_true",
                    help="include warm-up requests, not just measured ones")
     return p
+
+
+def analyze_command(argv) -> int:
+    """``analyze`` subcommand: reports over dumped trace/metrics files."""
+    from ..obs.analyze import attribute, load_jsonl
+
+    opts = _analyze_parser().parse_args(argv)
+    if opts.trace is None and not opts.cache:
+        print("analyze: a TRACE file is required unless --cache is given",
+              file=sys.stderr)
+        return 2
+    try:
+        records = load_jsonl(opts.trace) if opts.trace else []
+        metrics = None
+        if opts.metrics:
+            with open(opts.metrics, "r", encoding="utf-8") as fp:
+                metrics = json.load(fp)
+    except (OSError, ValueError) as exc:
+        print(f"analyze: cannot read input: {exc}", file=sys.stderr)
+        return 2
+
+    with _json_stdout(opts.json_out, opts.critical_out,
+                      opts.timeseries_out) as stdout:
+        if opts.cache:
+            from ..obs.cachestats import load_jsonl as load_cache_jsonl
+            from ..obs.reports import render_cache_report
+
+            try:
+                snap = load_cache_jsonl(opts.cache)
+            except (OSError, json.JSONDecodeError) as exc:
+                print(f"analyze: cannot read cache dump: {exc}",
+                      file=sys.stderr)
+                return 2
+            print(banner(f"cache behavior: {opts.cache}"))
+            print(render_cache_report(snap))
+        if opts.trace is None:
+            return 0
+
+        measured_only = not opts.all_requests
+        want_report = opts.report or not (
+            opts.perfetto or opts.timeseries or opts.timeseries_out
+            or opts.top or opts.json_out or opts.cache or opts.critical
+            or opts.critical_out
+        )
+        if opts.json_out or want_report:
+            attr = attribute(records, measured_only=measured_only)
+        if opts.json_out:
+            from ..obs.analyze import attribution_to_dict
+
+            _write_json(attribution_to_dict(attr, metrics=metrics),
+                        opts.json_out, "attribution json", stdout)
+        if want_report:
+            from ..obs.reports import render_profile_report
+
+            print(banner(f"profile: {opts.trace}"))
+            print(render_profile_report(attr, metrics=metrics))
+        if opts.top:
+            from ..obs.reports import render_top_requests
+
+            print(banner(f"top {opts.top} slowest"))
+            print(render_top_requests(
+                records, k=opts.top, measured_only=measured_only
+            ))
+        if opts.critical or opts.critical_out:
+            from ..obs.analyze import critical_profile
+
+            profile = critical_profile(records, measured_only=measured_only)
+            if opts.critical_out:
+                _write_json(profile, opts.critical_out, "critical profile",
+                            stdout)
+            if opts.critical:
+                from ..obs.reports import render_critical_report
+
+                print(banner(f"critical path: {opts.trace}"))
+                print(render_critical_report(profile))
+        if opts.timeseries or opts.timeseries_out:
+            from ..obs.timeseries import build_timeseries
+
+            ts = build_timeseries(records, window_ms=opts.window_ms)
+            if opts.timeseries_out:
+                _write_json(ts, opts.timeseries_out, "time series", stdout)
+            if opts.timeseries:
+                from ..obs.reports import render_timeseries
+
+                print(banner("time series"))
+                print(render_timeseries(ts))
+        if opts.perfetto:
+            from ..obs.export import dump_chrome_trace
+
+            dump_chrome_trace(records, opts.perfetto)
+            print(f"chrome trace      -> {opts.perfetto} "
+                  f"(open in ui.perfetto.dev or chrome://tracing)")
+    return 0
 
 
 def _diff_parser() -> argparse.ArgumentParser:
@@ -796,15 +826,9 @@ def analyze_diff_command(argv) -> int:
         print(f"analyze diff: cannot read input: {exc}", file=sys.stderr)
         return 2
     report = diff_attributions(base, current)
-    if opts.json_out:
-        text = json.dumps(report, indent=2, sort_keys=True, default=float)
-        if opts.json_out == "-":
-            print(text)
-        else:
-            with open(opts.json_out, "w", encoding="utf-8") as fp:
-                fp.write(text + "\n")
-            print(f"diff json         -> {opts.json_out}")
-    if opts.json_out != "-":
+    with _json_stdout(opts.json_out) as stdout:
+        if opts.json_out:
+            _write_json(report, opts.json_out, "diff json", stdout)
         print(banner(f"diff: {opts.base} -> {opts.current}"))
         print(render_diff_report(report))
     return 0
@@ -847,16 +871,7 @@ def analyze_fleet_command(argv) -> int:
     from ..obs.reports import render_fleet_report
 
     opts = _fleet_parser().parse_args(argv)
-    slo_spec = None
-    if opts.slo is not None:
-        from ..obs.slo import SloSpec
-
-        try:
-            slo_spec = SloSpec.load(opts.slo)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                ValueError) as exc:
-            print(f"cannot load SLO spec {opts.slo}: {exc}", file=sys.stderr)
-            return 2
+    slo_spec = _load_slo_spec(opts.slo)
     base_dir = os.path.dirname(os.path.abspath(opts.ledger))
     try:
         records = load_ledger(opts.ledger)
@@ -865,151 +880,39 @@ def analyze_fleet_command(argv) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"analyze fleet: {exc}", file=sys.stderr)
         return 2
-    if opts.json_out:
-        text = json.dumps(report, indent=2, sort_keys=True, default=float)
-        if opts.json_out == "-":
-            print(text)
-        else:
-            with open(opts.json_out, "w", encoding="utf-8") as fp:
-                fp.write(text + "\n")
-            print(f"fleet json        -> {opts.json_out}")
-    # Write the perfetto artifact before the chatty render so a reader
-    # truncating stdout (`... | head`) can't kill the process between
-    # artifact writes.
-    if opts.perfetto:
-        from ..obs.analyze import load_jsonl as load_trace_jsonl
-        from ..obs.export import dump_chrome_trace_multi
+    with _json_stdout(opts.json_out) as stdout:
+        if opts.json_out:
+            _write_json(report, opts.json_out, "fleet json", stdout)
+        # Write the perfetto artifact before the chatty render so a reader
+        # truncating stdout (`... | head`) can't kill the process between
+        # artifact writes.
+        if opts.perfetto:
+            from ..obs.analyze import load_jsonl
+            from ..obs.export import dump_chrome_trace_multi
+            from ..obs.fleet import fleet_traces
 
-        merged = []
-        for cell in report.get("cells", []):
-            if cell.get("status") != "ok":
-                continue
-            rec = next(
-                (r for r in records if r.get("run_id") == cell["run_id"]),
-                None,
-            )
-            raw = ((rec or {}).get("artifacts") or {}).get("trace")
-            if not raw:
-                continue
-            path = raw if os.path.exists(raw) else os.path.join(base_dir, raw)
-            if not os.path.exists(path):
-                continue
-            label = (f"{cell['workload']}/{cell['system']}/"
-                     f"{cell['mem_mb_per_node']:g}MB")
-            merged.append((label, load_trace_jsonl(path)))
-        dump_chrome_trace_multi(merged, opts.perfetto)
-        print(f"fleet chrome trace -> {opts.perfetto} "
-              f"({len(merged)} cells merged; open in ui.perfetto.dev)")
-    if opts.json_out != "-":
+            merged = [
+                (label, load_jsonl(path)) for label, path in fleet_traces(
+                    records, sweep_id=opts.sweep, base_dir=base_dir)
+            ]
+            dump_chrome_trace_multi(merged, opts.perfetto)
+            print(f"fleet chrome trace -> {opts.perfetto} "
+                  f"({len(merged)} cells merged; open in ui.perfetto.dev)")
         print(banner(f"fleet: {opts.ledger}"))
         print(render_fleet_report(report))
     return 0
 
 
-def analyze_command(argv) -> int:
-    """``analyze`` subcommand: reports over dumped trace/metrics files."""
-    from ..obs.analyze import attribute, load_jsonl
-
-    if argv and argv[0] == "diff":
-        return analyze_diff_command(argv[1:])
-    if argv and argv[0] == "fleet":
-        return analyze_fleet_command(argv[1:])
-    opts = _analyze_parser().parse_args(argv)
-    if opts.trace is None and not opts.cache:
-        print("analyze: a TRACE file is required unless --cache is given",
-              file=sys.stderr)
-        return 2
-    try:
-        records = load_jsonl(opts.trace) if opts.trace else []
-        metrics = None
-        if opts.metrics:
-            with open(opts.metrics, "r", encoding="utf-8") as fp:
-                metrics = json.load(fp)
-    except (OSError, ValueError) as exc:
-        print(f"analyze: cannot read input: {exc}", file=sys.stderr)
-        return 2
-
-    if opts.cache:
-        from ..obs.cachestats import load_jsonl as load_cache_jsonl
-        from ..obs.reports import render_cache_report
-
-        try:
-            snap = load_cache_jsonl(opts.cache)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"analyze: cannot read cache dump: {exc}", file=sys.stderr)
-            return 2
-        print(banner(f"cache behavior: {opts.cache}"))
-        print(render_cache_report(snap))
-    if opts.trace is None:
-        return 0
-
-    measured_only = not opts.all_requests
-    want_report = opts.report or not (
-        opts.perfetto or opts.timeseries or opts.timeseries_out or opts.top
-        or opts.json_out or opts.cache or opts.critical or opts.critical_out
-    )
-
-    if opts.json_out:
-        from ..obs.analyze import attribution_to_dict
-
-        summary = attribution_to_dict(
-            attribute(records, measured_only=measured_only), metrics=metrics
-        )
-        text = json.dumps(summary, indent=2, sort_keys=True, default=float)
-        if opts.json_out == "-":
-            print(text)
-        else:
-            with open(opts.json_out, "w", encoding="utf-8") as fp:
-                fp.write(text + "\n")
-            print(f"attribution json  -> {opts.json_out}")
-    if want_report:
-        from ..obs.reports import render_profile_report
-
-        print(banner(f"profile: {opts.trace}"))
-        print(render_profile_report(
-            attribute(records, measured_only=measured_only), metrics=metrics
-        ))
-    if opts.top:
-        from ..obs.reports import render_top_requests
-
-        print(banner(f"top {opts.top} slowest"))
-        print(render_top_requests(
-            records, k=opts.top, measured_only=measured_only
-        ))
-    if opts.critical or opts.critical_out:
-        from ..obs.analyze import critical_profile
-
-        profile = critical_profile(records, measured_only=measured_only)
-        if opts.critical_out:
-            with open(opts.critical_out, "w", encoding="utf-8") as fp:
-                json.dump(profile, fp, indent=2, sort_keys=True,
-                          default=float)
-                fp.write("\n")
-            print(f"critical profile  -> {opts.critical_out}")
-        if opts.critical:
-            from ..obs.reports import render_critical_report
-
-            print(banner(f"critical path: {opts.trace}"))
-            print(render_critical_report(profile))
-    if opts.timeseries or opts.timeseries_out:
-        from ..obs.timeseries import build_timeseries, dump_timeseries
-
-        ts = build_timeseries(records, window_ms=opts.window_ms)
-        if opts.timeseries_out:
-            dump_timeseries(ts, opts.timeseries_out)
-            print(f"time series       -> {opts.timeseries_out}")
-        if opts.timeseries:
-            from ..obs.reports import render_timeseries
-
-            print(banner("time series"))
-            print(render_timeseries(ts))
-    if opts.perfetto:
-        from ..obs.export import dump_chrome_trace
-
-        dump_chrome_trace(records, opts.perfetto)
-        print(f"chrome trace      -> {opts.perfetto} "
-              f"(open in ui.perfetto.dev or chrome://tracing)")
-    return 0
+#: Command words -> handler of the remaining arguments.  A longer entry
+#: must precede any entry that is its prefix.
+COMMANDS: dict[tuple[str, ...], Callable[[list[str]], int]] = {
+    ("run",): run_command,
+    ("chaos",): chaos_command,
+    ("sweep",): sweep_command,
+    ("analyze", "diff"): analyze_diff_command,
+    ("analyze", "fleet"): analyze_fleet_command,
+    ("analyze",): analyze_command,
+}
 
 
 def _configure_logging(args) -> list:
@@ -1032,16 +935,12 @@ def _configure_logging(args) -> list:
 
 
 def main(argv=None) -> int:
-    """Render the requested artifacts to stdout; returns an exit code."""
+    """Run a command, or render the requested artifacts to stdout;
+    returns an exit code."""
     args = _configure_logging(list(sys.argv[1:] if argv is None else argv))
-    if args and args[0] == "run":
-        return run_command(args[1:])
-    if args and args[0] == "chaos":
-        return chaos_command(args[1:])
-    if args and args[0] == "analyze":
-        return analyze_command(args[1:])
-    if args and args[0] == "sweep":
-        return sweep_command(args[1:])
+    for words, command in COMMANDS.items():
+        if tuple(args[:len(words)]) == words:
+            return command(args[len(words):])
     if not args or args == ["list"]:
         print(__doc__)
         print("artifacts:", " ".join(ARTIFACTS))

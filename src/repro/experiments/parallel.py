@@ -64,6 +64,7 @@ __all__ = [
     "run_cells",
     "run_cells_observed",
     "cell_info",
+    "cell_summary",
     "CellInfo",
     "CellOutcome",
     "SweepCellError",
@@ -190,7 +191,7 @@ class _CellJob:
     profile: bool = False
 
 
-def _cell_summary(result: ExperimentResult, obs: Any) -> dict[str, Any]:
+def cell_summary(result: ExperimentResult, obs: Any) -> dict[str, Any]:
     """Ledger-facing metric summary of one finished cell."""
     summary: dict[str, Any] = {
         "throughput_rps": result.throughput_rps,
@@ -243,7 +244,7 @@ def _run_cell_job(job: _CellJob) -> CellOutcome:
             }
         return CellOutcome(
             info=info, ok=True, result=result, wall_s=wall_s, worker=worker,
-            artifacts=artifacts, summary=_cell_summary(result, obs),
+            artifacts=artifacts, summary=cell_summary(result, obs),
         )
     except Exception as exc:  # noqa: BLE001 - worker boundary, reported upward
         wall_s = time.perf_counter() - t0  # simlint: disable=SL02 -- per-cell wall-clock is ledger telemetry, never sim state

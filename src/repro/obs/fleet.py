@@ -40,6 +40,7 @@ from .slo import SloSpec
 __all__ = [
     "select_sweep",
     "fleet_report",
+    "fleet_traces",
     "conservation_check",
     "CONSERVATION_REL_TOL",
 ]
@@ -329,3 +330,23 @@ def fleet_report(
     if slo is not None:
         payload["slo"] = _fleet_slo(rows, slo)
     return as_report("fleet", payload)
+
+
+def fleet_traces(
+    records: Iterable[dict[str, Any]],
+    *,
+    sweep_id: Optional[str] = None,
+    base_dir: str = ".",
+) -> list[tuple[str, str]]:
+    """``(label, trace path)`` of every ok cell of one sweep whose span
+    trace artifact exists, in cell order (labels name the cell as
+    ``workload/system/<mem>MB``)."""
+    _sweep, cells = select_sweep(records, sweep_id)
+    traces: list[tuple[str, str]] = []
+    for cell in sorted(cells, key=lambda c: c.get("cell_index") or 0):
+        raw = (cell.get("artifacts") or {}).get("trace")
+        path = _resolve(str(raw), base_dir) if raw else None
+        if cell.get("status") == "ok" and path is not None:
+            traces.append((f"{cell['workload']}/{cell['system']}/"
+                           f"{cell['mem_mb_per_node']:g}MB", path))
+    return traces

@@ -19,7 +19,6 @@ steady-state portion the paper measures is directly visible.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections.abc import Iterable
 from typing import Any
@@ -28,7 +27,7 @@ from ..sim.stats import WindowedSeries
 from .analyze import build_trees, request_roots
 from .profile import PHASE_SPAN
 
-__all__ = ["build_timeseries", "dump_timeseries"]
+__all__ = ["build_timeseries"]
 
 logger = logging.getLogger(__name__)
 
@@ -127,9 +126,3 @@ def build_timeseries(
         "windows": windows,
     }
 
-
-def dump_timeseries(ts: dict[str, Any], path) -> None:
-    """Write a time series dict as deterministic JSON."""
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(ts, fp, indent=2, sort_keys=True, default=float)
-        fp.write("\n")

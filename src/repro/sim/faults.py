@@ -101,6 +101,9 @@ class FaultEvent:
             raise ValueError(f"{self.kind} requires both link endpoints")
         if self.kind == "disk_stall" and self.extra_ms <= 0:
             raise ValueError("disk_stall requires a positive duration")
+        for node_id in (self.node, self.peer):
+            if node_id is not None and node_id < 0:
+                raise ValueError(f"{self.kind} names negative node {node_id}")
 
 
 @dataclass(frozen=True)
@@ -212,6 +215,20 @@ class FaultPlan:
             )
         return cls(tuple(events))
 
+    def validate(self, num_nodes: int) -> "FaultPlan":
+        """Check every node id fits a ``num_nodes`` cluster; returns self.
+
+        Raises ``ValueError`` naming the first event that does not.
+        """
+        for ev in self.events:
+            for node_id in (ev.node, ev.peer):
+                if node_id is not None and node_id >= num_nodes:
+                    raise ValueError(
+                        f"{ev} names node {node_id}, but the cluster has "
+                        f"{num_nodes} nodes"
+                    )
+        return self
+
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
         """Serialize to a stable JSON document."""
@@ -284,6 +301,7 @@ class FaultInjector:
 
     def install(self, sim: Simulator, cluster: Cluster) -> None:
         """Schedule the plan's events and hook the cluster's network."""
+        self.plan.validate(len(cluster.nodes))
         self.sim = sim
         self.cluster = cluster
         cluster.network.faults = self

@@ -310,6 +310,45 @@ class TestRunAndAnalyzeCli:
         assert cli.main(["analyze", "diff", str(bad), str(bad)]) == 2
         assert "cannot read input" in capsys.readouterr().err
 
+    def test_analyze_json_stdout_stays_pure(
+        self, capsys, tiny_defaults, tmp_path
+    ):
+        import json
+
+        trace = tmp_path / "trace.jsonl"
+        assert cli.main([
+            "run", "--profile", "--mem-mb", "0.25", "--trace", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        crit_out = tmp_path / "crit.json"
+        assert cli.main([
+            "analyze", str(trace), "--json", "-", "--top", "1", "--critical",
+            "--critical-out", str(crit_out),
+        ]) == 0
+        captured = capsys.readouterr()
+        # stdout is exactly one JSON document; every report and
+        # confirmation went to stderr.
+        assert json.loads(captured.out)["kind"] == "attribution"
+        assert "top 1 slowest" in captured.err
+        assert "critical path:" in captured.err
+        assert f"critical profile  -> {crit_out}" in captured.err
+        assert json.loads(crit_out.read_text())["kind"] == "critical"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mem-mb", "nan"],
+        ["run", "--mem-mb", "inf"],
+        ["analyze", "trace.jsonl", "--window-ms", "nan"],
+        ["chaos", "--crashes-per-node", "-1"],
+        ["chaos", "--crashes-per-node", "nan"],
+    ])
+    def test_non_finite_or_negative_flags_are_usage_errors(
+        self, capsys, tiny_defaults, argv
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestChaosCli:
     @pytest.fixture()
@@ -355,6 +394,23 @@ class TestChaosCli:
         ]) == 2
         assert "plan" in capsys.readouterr().err.lower()
 
+    def test_chaos_rejects_a_plan_for_a_larger_cluster(
+        self, capsys, tiny_defaults, tmp_path
+    ):
+        from repro.sim.faults import FaultEvent, FaultPlan
+
+        plan = tmp_path / "plan.json"
+        FaultPlan((
+            FaultEvent("crash", 1.0, node=3),
+            FaultEvent("restart", 2.0, node=3),
+        )).dump(str(plan))
+        assert cli.main([
+            "chaos", "--nodes", "2", "--mem-mb", "0.25", "--plan", str(plan),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "chaos: cannot load plan:" in err
+        assert "node 3, but the cluster has 2 nodes" in err
+
     def test_chaos_profile_attributes_fault_time(
         self, capsys, tiny_defaults, tmp_path
     ):
@@ -364,3 +420,44 @@ class TestChaosCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "critical-path profile" in out
+
+
+class TestSweepFailureCli:
+    @pytest.mark.parametrize("ledgered", [False, True])
+    def test_failing_cell_is_named_and_no_record_written(
+        self, capsys, monkeypatch, tmp_path, ledgered
+    ):
+        from dataclasses import replace
+
+        from repro.experiments import figures
+        from repro.experiments.parallel import cell_info
+        from repro.experiments.runner import ExperimentConfig
+
+        good = ExperimentConfig(system="press", trace=tiny_trace(),
+                                num_nodes=2, mem_mb_per_node=0.25,
+                                num_clients=4)
+        bad = replace(good, system="bogus")
+        monkeypatch.setattr(figures, "fig2_cells",
+                            lambda **kw: (["tiny"], [0.25], [good, bad]))
+        bench = tmp_path / "BENCH.json"
+        ledger = tmp_path / "ledger.jsonl"
+        argv = ["sweep", "--workers", "1", "--bench-out", str(bench)]
+        if ledgered:
+            argv += ["--ledger", str(ledger)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "sweep: 1 cell(s) failed:" in err
+        assert "cell 1 [bogus/tiny/0.25MB/seed0]" in err
+        assert f"params {cell_info(1, bad).params_digest}" in err
+        assert "unknown system" in err
+        assert "skipping BENCH record/render" in err
+        assert not bench.exists()
+        if ledgered:
+            from repro.obs.ledger import filter_records, load_ledger
+
+            records = load_ledger(str(ledger))
+            assert filter_records(records, kind="sweep")[0]["status"] == (
+                "failed")
+            cells = filter_records(records, kind="cell")
+            assert [c["status"] for c in cells] == ["ok", "failed"]
+            assert cells[1]["params_digest"] == cell_info(1, bad).params_digest

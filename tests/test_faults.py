@@ -53,6 +53,14 @@ class TestFaultEvent:
         with pytest.raises(ValueError):
             FaultEvent("disk_stall", 1.0, node=0, extra_ms=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="crash", node=-1),
+        dict(kind="link_down", node=0, peer=-2),
+    ])
+    def test_negative_node_ids_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="negative node"):
+            FaultEvent(at_ms=1.0, **kwargs)
+
 
 class TestFaultPlan:
     def test_events_sorted_by_time(self):
@@ -125,6 +133,21 @@ class TestFaultPlan:
             FaultPlan.random(0, 0.0, 4)
         with pytest.raises(ValueError):
             FaultPlan.random(0, 100.0, 0)
+
+    def test_validate_names_the_event_outside_the_cluster(self):
+        plan = FaultPlan((
+            FaultEvent("crash", 1.0, node=1),
+            FaultEvent("link_down", 5.0, node=0, peer=4),
+        ))
+        assert plan.validate(5) is plan
+        with pytest.raises(ValueError, match="link_down.*node 4.*4 nodes"):
+            plan.validate(4)
+
+    def test_install_rejects_a_plan_for_a_larger_cluster(self):
+        plan = FaultPlan((FaultEvent("disk_stall", 1.0, node=4,
+                                     extra_ms=5.0),))
+        with pytest.raises(ValueError, match="node 4.*4 nodes"):
+            make_faulted(plan, num_nodes=4)
 
 
 class TestInjectorStateMachine:
