@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from functools import partial
 from typing import Any
 
 from ..sim.stats import WindowedSeries
@@ -116,8 +117,8 @@ class CacheScope:
     # wiring
     # ------------------------------------------------------------------
     def attach(self, sim) -> None:
-        """Read timestamps from ``sim`` from now on."""
-        self._clock = lambda: sim.now
+        """Read timestamps from ``sim.now`` from now on."""
+        self._clock = partial(getattr, sim, "now")
 
     def bind_layout(self, layout) -> None:
         """Resolve block sizes through ``layout`` (middleware systems)."""

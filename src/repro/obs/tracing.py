@@ -16,6 +16,15 @@ Design constraints:
 * **Deterministic output** — span/trace ids are a simple monotone
   sequence, records are emitted in finish order (which the kernel makes
   deterministic), and JSON is serialized with sorted keys.
+* **Cheap to keep** — a profiled run finishes tens of spans per request.
+  A finished span's seven atomic fields (trace, span, parent, name,
+  node, start, end) are appended to one flat list and its attrs dict to
+  a parallel list.  The only per-span container kept is the attrs
+  dict, which holds atomics and so is not tracked by the cyclic GC;
+  span-heavy runs trigger about half the collections a tuple or dict
+  per span would.
+  Dict records are built only on export (:attr:`Tracer.records`,
+  :meth:`Tracer.to_jsonl`, :meth:`Tracer.digest`).
 """
 
 from __future__ import annotations
@@ -23,9 +32,21 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable
+from functools import partial
 from typing import Any
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "NULL_SPAN"]
+
+#: Keys of a span record, in the order of a stored span row.
+_FIELDS = ("trace", "span", "parent", "name", "node", "start", "end")
+
+
+def _record(row: tuple[Any, ...], attrs: dict[str, Any]) -> dict[str, Any]:
+    """A span row and its attrs as a flat, JSON-ready dict."""
+    rec = dict(zip(_FIELDS, row))
+    if attrs:
+        rec["attrs"] = attrs
+    return rec
 
 
 class Span:
@@ -66,25 +87,14 @@ class Span:
         """Close the span at the current simulated time and emit it."""
         if self.end is not None:
             raise RuntimeError(f"span {self.span_id} ({self.name}) finished twice")
-        self.end = self._tracer._now()
         if attrs:
             self.attrs.update(attrs)
         self._tracer._emit(self)
 
     def to_record(self) -> dict[str, Any]:
         """The span as a flat, JSON-ready dict."""
-        rec: dict[str, Any] = {
-            "trace": self.trace_id,
-            "span": self.span_id,
-            "parent": self.parent_id,
-            "name": self.name,
-            "node": self.node,
-            "start": self.start,
-            "end": self.end,
-        }
-        if self.attrs:
-            rec["attrs"] = self.attrs
-        return rec
+        return _record((self.trace_id, self.span_id, self.parent_id,
+                        self.name, self.node, self.start, self.end), self.attrs)
 
 
 class Tracer:
@@ -98,7 +108,10 @@ class Tracer:
 
     def __init__(self, clock: Callable[[], float] | None = None):
         self._clock = clock or (lambda: 0.0)
-        self._records: list[dict[str, Any]] = []
+        # Finished spans, emission order: ``len(_FIELDS)`` atomics per
+        # span, flat (``_FIELDS`` order), and in a parallel list its attrs.
+        self._spans: list[Any] = []
+        self._attrs: list[dict[str, Any]] = []
         self._next_id = 0
         # Spans started but not yet finished, by span id (insertion order).
         # Exports append these as ``"unfinished": true`` records so a dump
@@ -106,15 +119,16 @@ class Tracer:
         self._open: dict[int, Span] = {}
 
     def attach(self, sim) -> None:
-        """Read timestamps from ``sim`` from now on."""
-        self._clock = lambda: sim.now
-
-    def _now(self) -> float:
-        return self._clock()
+        """Read timestamps from ``sim.now`` from now on."""
+        self._clock = partial(getattr, sim, "now")
 
     def _emit(self, span: Span) -> None:
+        """Close ``span`` now and store it as a finished span."""
+        span.end = end = self._clock()
         self._open.pop(span.span_id, None)
-        self._records.append(span.to_record())
+        self._spans.extend((span.trace_id, span.span_id, span.parent_id,
+                            span.name, span.node, span.start, end))
+        self._attrs.append(span.attrs)
 
     # -- span creation ------------------------------------------------------
     def start(
@@ -125,14 +139,17 @@ class Tracer:
         **attrs: Any,
     ) -> Span:
         """Open a span; a None/null parent starts a new trace."""
-        self._next_id += 1
-        span_id = self._next_id
+        return self._open_span(name, parent, node, attrs)
+
+    def _open_span(self, name: str, parent: Span | None, node: int | None,
+                   attrs: dict[str, Any]) -> Span:
+        self._next_id = span_id = self._next_id + 1
         if parent is None or parent is NULL_SPAN:
             trace_id, parent_id = span_id, None
         else:
             trace_id, parent_id = parent.trace_id, parent.span_id
         span = Span(
-            self, trace_id, span_id, parent_id, name, node, self._now(), attrs
+            self, trace_id, span_id, parent_id, name, node, self._clock(), attrs
         )
         self._open[span_id] = span
         return span
@@ -152,8 +169,9 @@ class Tracer:
     # -- export -------------------------------------------------------------
     @property
     def records(self) -> list[dict[str, Any]]:
-        """Finished span records in emission order."""
-        return self._records
+        """Finished span records in emission order (built on each read)."""
+        rows = zip(*[iter(self._spans)] * len(_FIELDS))
+        return [_record(row, attrs) for row, attrs in zip(rows, self._attrs)]
 
     @property
     def open_spans(self) -> list[Span]:
@@ -162,7 +180,8 @@ class Tracer:
 
     def clear(self) -> None:
         """Drop all recorded and open spans (id sequence keeps counting)."""
-        self._records.clear()
+        self._spans.clear()
+        self._attrs.clear()
         self._open.clear()
 
     def to_jsonl(self) -> str:
@@ -173,7 +192,7 @@ class Tracer:
         finished records, in start order, flagged ``"unfinished": true``
         with a null ``end`` — they are never silently dropped.
         """
-        records = list(self._records)
+        records = self.records
         for span in self._open.values():
             rec = span.to_record()
             rec["unfinished"] = True

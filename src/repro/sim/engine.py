@@ -18,7 +18,12 @@ The pending-event set is one binary heap owned by :class:`Simulator`: a
 plain ``heapq`` list of ``(time, seq, event)`` triples.  ``heapq`` is
 C-implemented and O(log n); at the cluster model's queue depths
 (hundreds of pending events) it is very hard to beat, and owning the
-list directly keeps each push and pop to a single C call.
+list directly keeps each push and pop to a single C call.  Heap entries
+are anything with a ``_fire()`` method: events, and capacity-1 service
+centers, which are their own entry for the job in service (see
+:class:`~repro.sim.servicecenter.ServiceCenter`).  The hot path pushes
+inline (:meth:`Event.succeed`, :class:`Timeout`),
+and :attr:`Simulator.now` is a plain slot that only the kernel writes.
 
 This is intentionally a small subset of a general-purpose DES library:
 exactly what the cluster model needs, nothing more.
@@ -26,9 +31,9 @@ exactly what the cluster model needs, nothing more.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Generator, Iterable
-from typing import Any
+from heapq import heappop, heappush
+from typing import Any, Protocol
 
 __all__ = [
     "Event",
@@ -43,6 +48,12 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g. scheduling into the past)."""
+
+
+class _Fireable(Protocol):
+    """A heap entry: the kernel calls ``_fire()`` when its time comes."""
+
+    def _fire(self) -> None: ...
 
 
 class Event:
@@ -93,13 +104,21 @@ class Event:
         return self._value
 
     # -- triggering --------------------------------------------------------
+    # succeed and Timeout push inline: the same checks and the same
+    # (time, seq) entry as Simulator._push, minus one call per event.
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Trigger the event successfully after ``delay`` sim-ms."""
         if self._triggered:
             raise SimulationError("event already triggered")
+        if not delay >= 0:
+            raise SimulationError(f"negative delay: {delay!r}")
         self._triggered = True
         self._value = value
-        self.sim._push(delay, self)
+        sim = self.sim
+        seq = sim._seq + 1
+        assert seq > sim._seq, "sequence numbers must be strictly monotonic"
+        sim._seq = seq
+        heappush(sim._heap, (sim.now + delay, seq, self))
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -114,9 +133,11 @@ class Event:
 
     def _fire(self) -> None:
         self._processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = []
+            for cb in callbacks:
+                cb(self)
 
 
 class Timeout(Event):
@@ -127,10 +148,16 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
-        self._triggered = True
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._push(delay, self)
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        seq = sim._seq + 1
+        assert seq > sim._seq, "sequence numbers must be strictly monotonic"
+        sim._seq = seq
+        heappush(sim._heap, (sim.now + delay, seq, self))
 
 
 class _Callback(Event):
@@ -171,6 +198,9 @@ class AllOf(Event):
 
     Used by nodes that fan out block fetches to several sources and resume
     when the last reply arrives.  An empty iterable fires immediately.
+    Children that were already processed contribute their value (or
+    failure) at construction, in order: their callbacks have run, so a
+    callback appended now would never fire.
     """
 
     __slots__ = ("_pending", "_values")
@@ -180,11 +210,17 @@ class AllOf(Event):
         events = list(events)
         self._values: list[Any] = [None] * len(events)
         self._pending = len(events)
-        if self._pending == 0:
-            self.succeed([])
-            return
         for i, ev in enumerate(events):
-            ev.callbacks.append(self._make_child_cb(i))
+            if ev._processed:
+                if not ev._ok:
+                    self.fail(ev._value)
+                    return
+                self._values[i] = ev._value
+                self._pending -= 1
+            else:
+                ev.callbacks.append(self._make_child_cb(i))
+        if self._pending == 0:
+            self.succeed(self._values)
 
     def _make_child_cb(self, index: int) -> Callable[[Event], None]:
         def cb(ev: Event) -> None:
@@ -202,7 +238,11 @@ class AllOf(Event):
 
 
 class AnyOf(Event):
-    """Fires when the *first* child event fires; value = that event's value."""
+    """Fires when the *first* child event fires; value = that event's value.
+
+    If a child was already processed, the first such child (in order)
+    decides the outcome at construction.
+    """
 
     __slots__ = ()
 
@@ -211,6 +251,10 @@ class AnyOf(Event):
         events = list(events)
         if not events:
             raise SimulationError("AnyOf requires at least one event")
+        for ev in events:
+            if ev._processed:
+                self._child_cb(ev)
+                return
         for ev in events:
             ev.callbacks.append(self._child_cb)
 
@@ -241,12 +285,14 @@ class Process(Event):
         init.callbacks.append(self._resume)
         init.succeed(None)
 
+    # Neither the bound ``_resume`` nor ``gen.send`` is cached on the
+    # process: a cached bound method is a per-process reference cycle.
     def _resume(self, ev: Event) -> None:
         try:
-            if ev.ok:
-                target = self._gen.send(ev.value)
+            if ev._ok:
+                target = self._gen.send(ev._value)
             else:
-                target = self._gen.throw(ev.value)
+                target = self._gen.throw(ev._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -259,14 +305,14 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Event objects"
             )
-        if target.processed:
+        if target._processed:
             # Already fired: resume on the next kernel step with its value.
             imm = Event(self.sim)
             imm.callbacks.append(self._resume)
-            if target.ok:
-                imm.succeed(target.value)
+            if target._ok:
+                imm.succeed(target._value)
             else:
-                imm.fail(target.value)
+                imm.fail(target._value)
         else:
             target.callbacks.append(self._resume)
 
@@ -280,21 +326,18 @@ class Simulator:
     scheduled.
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_event_count", "_step_hooks")
+    __slots__ = ("now", "_heap", "_seq", "_event_count", "_step_hooks")
 
     def __init__(self) -> None:
-        self._now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        #: Current simulation time in milliseconds.  A plain slot, read
+        #: on every hop; only the kernel loop writes it.
+        self.now: float = 0.0
+        self._heap: list[tuple[float, int, _Fireable]] = []
         self._seq = 0
         self._event_count = 0
         # Observability hooks fired after each processed event; empty on
         # the hot path (one truthiness check per step when unused).
         self._step_hooks: list[Callable[["Simulator"], None]] = []
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in milliseconds."""
-        return self._now
 
     @property
     def event_count(self) -> int:
@@ -324,10 +367,10 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule a plain callback at absolute time ``when``."""
-        if not when >= self._now:
-            raise SimulationError(f"call_at into the past: {when} < {self._now}")
+        if not when >= self.now:
+            raise SimulationError(f"call_at into the past: {when} < {self.now}")
         ev = _Callback(self, fn, args)
-        self._push(when - self._now, ev)
+        self._push(when - self.now, ev)
         return ev
 
     def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
@@ -337,17 +380,18 @@ class Simulator:
         return ev
 
     # -- kernel --------------------------------------------------------------
-    def _push(self, delay: float, event: Event) -> None:
+    def _push(self, delay: float, event: _Fireable) -> None:
         if not delay >= 0:
             raise SimulationError(f"negative delay: {delay!r}")
-        # The tie-break contract: seq is assigned here and ONLY here,
-        # strictly increasing, so same-timestamp events fire in schedule
-        # order.  The assertion guards the latent fragility of a subclass
-        # ever recycling sequence numbers.
+        # The tie-break contract: seq is assigned here (and in the inlined
+        # copies in Event.succeed and Timeout), strictly increasing, so
+        # same-timestamp events fire in schedule order.  The assertion
+        # guards the latent fragility of a subclass ever recycling
+        # sequence numbers.
         seq = self._seq + 1
         assert seq > self._seq, "sequence numbers must be strictly monotonic"
         self._seq = seq
-        heapq.heappush(self._heap, (self._now + delay, seq, event))
+        heappush(self._heap, (self.now + delay, seq, event))
 
     # -- observability hooks -------------------------------------------------
     def add_step_hook(self, hook: Callable[["Simulator"], None]) -> None:
@@ -365,8 +409,8 @@ class Simulator:
 
     def step(self) -> None:
         """Process the single next event."""
-        when, _seq, event = heapq.heappop(self._heap)
-        self._now = when
+        when, _seq, event = heappop(self._heap)
+        self.now = when
         self._event_count += 1
         event._fire()
         if self._step_hooks:
@@ -395,14 +439,14 @@ class Simulator:
             # The unconditional drain — every experiment's hot loop.
             # Same semantics as the general loop below, minus the three
             # per-event guard checks and the step() call indirection.
-            heappop = heapq.heappop
+            hooks = self._step_hooks
             while heap:
                 when, _seq, event = heappop(heap)
-                self._now = when
+                self.now = when
                 self._event_count += 1
                 event._fire()
-                if self._step_hooks:
-                    for hook in self._step_hooks:
+                if hooks:
+                    for hook in hooks:
                         hook(self)
             return
         budget = max_events if max_events is not None else -1
@@ -410,12 +454,12 @@ class Simulator:
             if stop is not None and stop.processed:
                 return
             if until is not None and heap[0][0] >= until:
-                self._now = until
+                self.now = until
                 return
             if budget == 0:
                 return
             self.step()
             if budget > 0:
                 budget -= 1
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until

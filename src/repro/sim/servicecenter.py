@@ -7,6 +7,12 @@ FIFO queue; jobs carry a fixed service demand in milliseconds.  CPUs,
 NICs, buses and the router are plain service centers; the disk (which
 needs state-dependent service times and a reorderable queue) subclasses
 the queue-management core in :mod:`repro.cluster.disk`.
+
+A capacity-1 center (every CPU, NIC, bus and the router) is its own
+kernel heap entry for the job in service: the kernel calls its
+:meth:`ServiceCenter._fire` at completion, so a job costs one heap entry
+and no callback object.  Wider centers schedule each completion with
+``call_after``.  Either way a job is exactly one kernel event.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ class ServiceCenter:
     """
 
     __slots__ = ("sim", "name", "capacity", "queue_limit", "utilization",
-                 "_queue", "_in_service", "completed", "dropped")
+                 "_queue", "_in_service", "completed", "dropped",
+                 "_done", "_done_value")
 
     def __init__(
         self,
@@ -66,16 +73,21 @@ class ServiceCenter:
         self.completed = 0
         #: Total jobs dropped because the queue was full.
         self.dropped = 0
+        # Capacity 1 only: the job in service (completion event, value).
+        self._done: Event | None = None
+        self._done_value: Any = None
 
     # -- client API ---------------------------------------------------------
     def submit(self, demand_ms: float, value: Any = None) -> Event:
         """Enqueue a job needing ``demand_ms`` of service.
 
         The returned event fires with ``value`` when service completes.
+        A demand that is negative or NaN is refused here, before it can
+        reach the kernel.
         """
-        if demand_ms < 0:
-            raise ValueError(f"negative service demand: {demand_ms!r}")
-        done = self.sim.event()
+        if not demand_ms >= 0:
+            raise ValueError(f"invalid service demand: {demand_ms!r}")
+        done = Event(self.sim)
         if self._in_service < self.capacity:
             self._start(demand_ms, done, value)
         elif len(self._queue) < self.queue_limit:
@@ -101,13 +113,50 @@ class ServiceCenter:
 
     # -- internals ------------------------------------------------------------
     def _start(self, demand_ms: float, done: Event, value: Any) -> None:
+        sim = self.sim
+        now = sim.now
         self._in_service += 1
-        self.utilization.on_start(self.sim.now)
         # Stamp service entry on the completion event so the profiler can
         # split the wait into queueing vs. service after the fact.
-        done.svc_start = self.sim.now
+        done.svc_start = now
         done.svc_ms = demand_ms
-        self.sim.call_after(demand_ms, self._finish, done, value)
+        if self.capacity == 1:
+            # An idle server: its busy interval opens now and is added to
+            # the integral at stop (the tracker would add 0 * dt here).
+            util = self.utilization
+            util._busy = 1
+            util._last_change = now
+            self._done = done
+            self._done_value = value
+            sim._push(demand_ms, self)
+        else:
+            self.utilization.on_start(now)
+            sim.call_after(demand_ms, self._finish, done, value)
+
+    def _fire(self) -> None:
+        """Kernel entry: the capacity-1 center's job in service completes.
+
+        The same float operations, in the same order, as the tracker's
+        ``on_stop`` then ``on_start``, and the same pushes as ``_finish``:
+        the next job's completion, then ``done``.
+        """
+        done, value = self._done, self._done_value
+        assert done is not None, "capacity-1 center fired with no job"
+        self._done = self._done_value = None
+        now = self.sim.now
+        util = self.utilization
+        util._busy_integral += now - util._last_change  # busy == 1
+        util._last_change = now
+        util._busy = 0
+        self._in_service = 0
+        self.completed += 1
+        queue = self._queue
+        if queue:
+            demand_ms, next_done = queue.popleft()
+            stashed = next_done._value
+            next_done._value = None
+            self._start(demand_ms, next_done, stashed)
+        done.succeed(value)
 
     def _finish(self, done: Event, value: Any) -> None:
         self._in_service -= 1

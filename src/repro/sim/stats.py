@@ -30,6 +30,12 @@ class UtilizationTracker:
     Utilization over the measured window is
     ``busy_time / (capacity * elapsed)`` — the quantity Figure 6a plots per
     resource (disk / CPU / NIC).
+
+    A capacity-1 :class:`~repro.sim.servicecenter.ServiceCenter` writes
+    ``_busy`` / ``_last_change`` / ``_busy_integral`` itself on its hot
+    path: ``on_start`` on an idle server adds ``0 * dt`` to the integral,
+    so the center only opens the interval there and adds ``now - start``
+    at stop — the same floats these methods would produce.
     """
 
     __slots__ = ("capacity", "_busy", "_last_change", "_busy_integral", "_window_start")

@@ -330,6 +330,90 @@ class TestInvariantSampler:
             InvariantSampler(lambda: None, every=0)
 
 
+class TestProfiler:
+    def _setup(self):
+        from repro.sim.servicecenter import ServiceCenter
+
+        sim = Simulator()
+        obs = Observability(profile=True)
+        obs.attach(sim)
+        return sim, obs, ServiceCenter(sim, "cpu")
+
+    def test_wait_returns_event_and_span_closes_before_resume(self):
+        sim, obs, cpu = self._setup()
+        seen = []
+
+        def proc():
+            root = obs.tracer.start("request", node=0)
+            cpu.submit(3.0)  # occupies the server: the next job queues
+            ev = cpu.submit(2.0, value="done")
+            assert obs.profiler.wait(root, 0, "cpu", ev) is ev
+            value = yield obs.profiler.wait(root, 0, "cpu", cpu.submit(1.0))
+            # The phase span is already recorded when the process resumes.
+            seen.append((sim.now, value, [r["name"] for r in obs.tracer.records]))
+            root.finish()
+
+        sim.process(proc())
+        sim.run()
+        assert seen == [(6.0, None, ["ph", "ph"])]
+        first, second, _root = obs.tracer.records
+        assert first["attrs"] == {"p": "cpu", "q": 3.0}
+        assert (first["start"], first["end"]) == (0.0, 5.0)
+        assert second["attrs"] == {"p": "cpu", "q": 5.0}
+
+    def test_failed_event_marks_span_error(self):
+        sim, obs, _cpu = self._setup()
+        bad = sim.event()
+        caught = []
+
+        def proc():
+            try:
+                yield obs.profiler.wait(None, 0, "fetch", bad, d=1)
+            except RuntimeError:
+                caught.append(sim.now)
+
+        sim.process(proc())
+        bad.fail(RuntimeError("lost"), delay=2.0)
+        sim.run()
+        assert caught == [2.0]
+        (rec,) = obs.tracer.records
+        assert rec["attrs"] == {"p": "fetch", "d": 1, "error": True}
+
+    def test_wait_on_processed_event_raises(self):
+        from repro.sim.engine import SimulationError
+
+        sim, obs, _cpu = self._setup()
+        ev = sim.timeout(1.0)
+        sim.run()
+        with pytest.raises(SimulationError):
+            obs.profiler.wait(None, 0, "wire", ev)
+        with pytest.raises(SimulationError):
+            obs.profiler.disk_wait(None, 0, ev, [ev])
+        assert obs.tracer.records == [] and obs.tracer.open_spans == []
+
+    def test_null_profiler_returns_event(self):
+        from repro.obs import NULL_PROFILER
+
+        sim = Simulator()
+        ev = sim.timeout(1.0)
+        assert NULL_PROFILER.wait(None, 0, "wire", ev) is ev
+        assert NULL_PROFILER.disk_wait(None, 0, ev, [ev]) is ev
+        assert ev.callbacks == []
+
+    def test_tracer_reads_any_clock_with_now(self):
+        class FakeClock:
+            now = 7.5
+
+        t = Tracer()
+        clock = FakeClock()
+        t.attach(clock)
+        span = t.start("x")
+        clock.now = 9.0
+        span.finish()
+        rec = t.records[0]
+        assert (rec["start"], rec["end"]) == (7.5, 9.0)
+
+
 class TestObservability:
     def test_defaults(self):
         obs = Observability()

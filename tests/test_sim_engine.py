@@ -474,8 +474,96 @@ class TestCombinators:
         with pytest.raises(SimulationError):
             sim.any_of([])
 
+    def test_allof_takes_already_processed_children(self):
+        sim = Simulator()
+        early = sim.timeout(1, "early")
+        sim.run()
+        assert early.processed
+        got = []
+
+        def proc():
+            vals = yield sim.all_of([early, sim.timeout(2, "late")])
+            got.append((sim.now, vals))
+
+        sim.process(proc())
+        sim.run()
+        assert got == [(3.0, ["early", "late"])]
+
+    def test_allof_of_only_processed_children_fires(self):
+        sim = Simulator()
+        done = [sim.timeout(1, "a"), sim.timeout(1, "b")]
+        sim.run()
+        got = []
+
+        def proc():
+            got.append((yield sim.all_of(done)))
+
+        sim.process(proc())
+        sim.run()
+        assert got == [["a", "b"]]
+
+    def test_allof_already_failed_child_fails(self):
+        sim = Simulator()
+        bad = sim.event()
+        bad.fail(RuntimeError("child failed"))
+        sim.run()
+        caught = []
+
+        def proc():
+            try:
+                yield sim.all_of([sim.timeout(1), bad])
+            except RuntimeError as exc:
+                caught.append((sim.now, str(exc)))
+
+        sim.process(proc())
+        sim.run()
+        assert caught == [(0.0, "child failed")]
+
+    def test_anyof_takes_first_already_processed_child(self):
+        sim = Simulator()
+        first, second = sim.timeout(1, "first"), sim.timeout(2, "second")
+        sim.run()
+        got = []
+
+        def proc():
+            got.append((yield sim.any_of([sim.timeout(5), second, first])))
+
+        sim.process(proc())
+        sim.run(until=3.0)
+        assert got == ["second"]
+
     def test_allof_is_event_subclass(self):
         sim = Simulator()
         assert isinstance(sim.all_of([sim.timeout(1)]), Event)
         assert isinstance(AllOf(sim, [sim.timeout(1)]), Event)
         assert isinstance(AnyOf(sim, [sim.timeout(1)]), Event)
+
+
+class TestReferenceCycles:
+    def test_finished_processes_leave_no_cycles(self):
+        """Finished processes, timeouts and events are freed by reference
+        counting alone: nothing per process (a cached bound ``_resume``,
+        a cached ``gen.send``) may form a cycle for the collector."""
+        import gc
+
+        sim = Simulator()
+
+        def child(i):
+            yield sim.timeout(1.0)
+            return i
+
+        def parent(i):
+            value = yield sim.process(child(i))
+            yield sim.timeout(0.5, value)
+
+        gc.collect()
+        gc.disable()
+        try:
+            for i in range(1000):
+                sim.process(parent(i))
+            sim.run()
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert sim.event_count > 5000
+        assert found < 50

@@ -83,6 +83,29 @@ class TestServiceCenter:
         with pytest.raises(ValueError):
             sc.submit(-0.5)
 
+    def test_nan_demand_rejected_at_submit(self):
+        # Refused when submitted, even while the server is busy and the
+        # job would only have queued: a NaN must not reach the kernel,
+        # where it would fail a different job's completion.
+        sim, sc = make(capacity=1)
+        first = sc.submit(1.0)
+        with pytest.raises(ValueError):
+            sc.submit(float("nan"))
+        with pytest.raises(ValueError):
+            sc.submit(float("-inf"))
+        sim.run()
+        assert first.processed and sc.completed == 1 and sim.now == 1.0
+
+    def test_reset_mid_service_splits_busy_time(self):
+        sim, sc = make(capacity=1)
+        sc.submit(10.0)
+        sim.run(until=4.0)
+        sc.reset_stats()    # window restarts at t=4, server busy until 10
+        sim.run()
+        sim.timeout(6.0)
+        sim.run()           # idle 10..16
+        assert sc.utilization.utilization(sim.now) == pytest.approx(0.5)
+
     def test_load_counts_queued_and_in_service(self):
         sim, sc = make(capacity=1)
         sc.submit(5.0)
